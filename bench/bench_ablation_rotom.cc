@@ -5,7 +5,7 @@
 //   - sharpen_v1 (temperature) vs sharpen_v2 (pseudo-labeling) vs combined
 //     for the SSL extension.
 //
-// Run on one representative dataset per domain.
+// Run on one representative dataset per domain (TextCLS, EDT, EM).
 
 #include <map>
 #include <string>
@@ -14,6 +14,7 @@
 #include "bench_common.h"
 #include "core/rotom_trainer.h"
 #include "data/edt_gen.h"
+#include "data/em_gen.h"
 #include "data/textcls_gen.h"
 
 namespace {
@@ -97,9 +98,18 @@ int main() {
     tasks.push_back({"hospital@150", data::MakeEdtDataset("hospital", d),
                      EdtExperimentOptions()});
   }
+  {
+    data::EmOptions d;
+    d.budget = Smoke() ? 60 : 200;
+    d.test_size = Smoke() ? 60 : 150;
+    d.unlabeled_size = Smoke() ? 100 : 800;
+    d.seed = 2;
+    tasks.push_back({"dblp_acm@200", data::MakeEmDataset("dblp_acm", d),
+                     EmExperimentOptions()});
+  }
 
   PrintTitle("Ablation: Rotom components");
-  PrintHeader("variant", {"trec@100", "hospital@150"});
+  PrintHeader("variant", {"trec@100", "hospital@150", "dblp_acm@200"});
   struct Variant {
     std::string label;
     bool filtering, weighting, l2, ssl;

@@ -12,12 +12,19 @@
 #   scripts/check.sh thread     # TSan only
 #   scripts/check.sh scalar     # full test suite with -DROTOM_SIMD=OFF
 #   scripts/check.sh docs       # observability docs gate only
-#   scripts/check.sh perf       # perf-smoke benches only
+#   scripts/check.sh perf       # perf-smoke benches, then the suite mode
+#   scripts/check.sh suite      # repo benchmark: bench/suite smoke + tests
 #   scripts/check.sh regress    # bench regression gate vs bench/baseline/
 #
 # The scalar mode rebuilds and retests everything with the SIMD dispatch
 # disabled, proving the mandatory scalar fallback passes the identical
 # suite the vectorized build does (DESIGN.md §7 "SIMD dispatch").
+#
+# The suite mode runs the benchmark of record (bench/suite, BENCHMARK.json)
+# at reduced size: bench/suite/run.sh --smoke builds it in its own Release
+# tree and checks every declared metric and correctness check, then the
+# suite's own CTest label bench-suite runs its unit tests (the label's
+# bench_suite_smoke entry is excluded: it is the run.sh --smoke just done).
 #
 # The regress mode is not part of "all": it needs a quiet machine to be
 # meaningful and takes several bench runs. It repeats every gated bench
@@ -108,6 +115,14 @@ if [[ "$mode" == "all" || "$mode" == "perf" ]]; then
     --target bench_micro_substrate bench_figure4_training_time bench_opspace \
              bench_stream rotom_inspect rotom_serve_bench
   ctest --test-dir build -L perf-smoke --output-on-failure
+fi
+
+if [[ "$mode" == "all" || "$mode" == "perf" || "$mode" == "suite" ]]; then
+  echo "== suite: repo benchmark smoke + bench-suite tests =="
+  bash bench/suite/run.sh --smoke
+  cmake --build .bench_build/suite -j --target suite_test
+  ctest --test-dir .bench_build/suite -L bench-suite -E '^bench_suite_smoke$' \
+    --output-on-failure
 fi
 
 if [[ "$mode" == "regress" ]]; then

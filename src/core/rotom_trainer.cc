@@ -178,9 +178,8 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
       model_->config().num_classes, init_rng);
   weighting_ = std::make_unique<WeightingModel>(model_->config(),
                                                 model_->vocab_ptr(), init_rng);
-  // The weighting model runs deterministically (no dropout): the
-  // finite-difference estimator needs identical stochasticity in the +/-
-  // passes.
+  // The weighting model runs deterministically (no dropout): a meta step
+  // reuses its phase-1 graph for both finite-difference passes.
   weighting_->SetTraining(false);
 
   nn::Adam opt_model(model_->Parameters(), options_.lr);
@@ -381,9 +380,9 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
 
     std::vector<std::string> all_texts = kept_texts;
     all_texts.insert(all_texts.end(), ssl_texts.begin(), ssl_texts.end());
-    // Encode the meta batch once; the training loss (built up to three
-    // times for the finite-difference passes) and the weighting model all
-    // read this same EncodedBatch. Kept texts were just encoded by the
+    // Encode the meta batch once; the classifier (once per step, plus the
+    // two finite-difference passes of a meta step) and the weighting model
+    // all read this same EncodedBatch. Kept texts were just encoded by the
     // prefetcher, so these are cache hits.
     const text::EncodedBatch all_batch =
         text::AssembleEncodedBatch(*cache, all_texts);
@@ -419,68 +418,81 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     }
     model_->SetTraining(true);  // inference passes done
 
-    // Builds the weighted training loss with the CURRENT model parameters;
-    // reused by the finite-difference passes. `step_weights` keeps the
-    // most recent normalized weight vector for the run-log step record
-    // (read right after the phase-1 call, before the FD passes re-run
-    // the lambda).
-    Tensor step_weights;
-    auto build_train_loss = [&]() -> Variable {
-      ROTOM_TRACE_SPAN("rotom.forward");
+    // Phase 2 runs every meta_update_every steps; only then are the
+    // parameter snapshots and the M_W graph needed.
+    const bool meta_step =
+        (options_.use_filtering || options_.use_weighting) &&
+        (step_index % std::max<int64_t>(1, options_.meta_update_every) == 0);
+    ++step_index;
+
+    // Per-example training loss of the CURRENT model parameters: hard
+    // labels, or one-hot rows plus the SSL guesses as soft targets.
+    Tensor soft_targets;
+    if (n_ssl > 0) {
+      const int64_t n_l = static_cast<int64_t>(kept_texts.size());
+      soft_targets = Tensor({n_all, num_classes});
+      for (int64_t i = 0; i < n_l; ++i)
+        soft_targets.at({i, kept_labels[i]}) = 1.0f;
+      for (int64_t i = 0; i < n_ssl; ++i)
+        for (int64_t j = 0; j < num_classes; ++j)
+          soft_targets.at({n_l + i, j}) = ssl_targets.at({i, j});
+    }
+    auto train_ce = [&]() -> Variable {
       Variable logits = model_->ForwardLogitsEncoded(all_batch, rng);
-      Variable ce;
-      if (n_ssl == 0) {
-        ce = ops::CrossEntropyPerExample(logits, kept_labels);
-      } else {
-        // Split logits into labeled and unlabeled rows.
-        const int64_t n_l = static_cast<int64_t>(kept_texts.size());
-        Tensor soft_targets({n_all, num_classes});
-        // Labeled rows use one-hot targets; unlabeled rows the guesses.
-        for (int64_t i = 0; i < n_l; ++i)
-          soft_targets.at({i, kept_labels[i]}) = 1.0f;
-        for (int64_t i = 0; i < n_ssl; ++i)
-          for (int64_t j = 0; j < num_classes; ++j)
-            soft_targets.at({n_l + i, j}) = ssl_targets.at({i, j});
-        ce = ops::SoftCrossEntropyPerExample(logits, soft_targets);
-      }
-      Variable weights;
-      if (options_.use_weighting) {
-        Variable w_raw = weighting_->WeightsEncoded(all_batch, l2, rng);
-        weights = ops::NormalizeMeanOne(w_raw);
-        if (runlog) step_weights = weights.value().Clone();
-      } else {
-        weights = Variable(Tensor::Ones({n_all}), false);
-      }
-      return ops::Scale(ops::Dot(ce, weights),
-                        1.0f / static_cast<float>(n_all));
+      return n_ssl == 0 ? ops::CrossEntropyPerExample(logits, kept_labels)
+                        : ops::SoftCrossEntropyPerExample(logits, soft_targets);
     };
 
-    // ---- Phase 1: update the target model (Algorithm 2 lines 5-7). ----
+    // ---- Phase 1: update the target model (Algorithm 2 lines 5-7). M_W's
+    // weights are a constant to the target model, so its graph is built
+    // only on meta steps, where phase 2 back-propagates through it. ----
     opt_model.ZeroGrad();
     filtering_->ZeroGrad();
-    weighting_->ZeroGrad();
-    Variable loss_train = build_train_loss();
+    Variable weights;
+    float loss_value = 0.0f;
     {
+      Variable loss_train;
+      {
+        ROTOM_TRACE_SPAN("rotom.forward");
+        Variable ce = train_ce();
+        if (!options_.use_weighting) {
+          weights = Variable(Tensor::Ones({n_all}), false);
+        } else if (meta_step) {
+          weights = ops::NormalizeMeanOne(
+              weighting_->WeightsEncoded(all_batch, l2, rng));
+        } else {
+          NoGradGuard guard;
+          weights = ops::NormalizeMeanOne(
+              weighting_->WeightsEncoded(all_batch, l2, rng));
+        }
+        loss_train = ops::Scale(ops::Dot(ce, weights.Detach()),
+                                1.0f / static_cast<float>(n_all));
+      }
       ROTOM_TRACE_SPAN("rotom.backward");
       loss_train.Backward();
+      loss_value = loss_train.value()[0];
     }
     const float grad_norm = nn::ClipGradNorm(model_params, 5.0f);
-    const std::vector<Tensor> w_pre = CloneValues(model_params);
-    const std::vector<Tensor> g_train = CloneGrads(model_params);
+    std::vector<Tensor> w_pre, g_train, w_post;
+    if (meta_step) {
+      w_pre = CloneValues(model_params);
+      g_train = CloneGrads(model_params);
+    }
     opt_model.Step();
-    const std::vector<Tensor> w_post = CloneValues(model_params);
-    result.loss_history.push_back(loss_train.value()[0]);
+    if (meta_step) w_post = CloneValues(model_params);
+    result.loss_history.push_back(loss_value);
     ++result.steps;
 
     if (runlog) {
       obs::RunLogStep record;
       record.step = result.steps;
       record.epoch = epoch;
-      record.loss = static_cast<double>(loss_train.value()[0]);
+      record.loss = static_cast<double>(loss_value);
       record.lr = static_cast<double>(options_.lr);
       record.grad_norm = static_cast<double>(grad_norm);
       record.keep_rate = static_cast<double>(kept_rows.size()) /
                          static_cast<double>(b);
+      const Tensor& step_weights = weights.value();
       if (options_.use_weighting && step_weights.size() > 0) {
         record.has_weights = true;
         double sum = 0.0;
@@ -505,10 +517,6 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     }
 
     // ---- Phase 2: update M_F and M_W (lines 8-11). ----
-    const bool meta_step =
-        (options_.use_filtering || options_.use_weighting) &&
-        (step_index % std::max<int64_t>(1, options_.meta_update_every) == 0);
-    ++step_index;
     if (meta_step) {
       ROTOM_TRACE_SPAN("rotom.weighting");
       // Virtual step M' = M - eta * grad (line 8).
@@ -559,35 +567,25 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
 
       if (options_.use_weighting) {
         // Finite-difference 2nd-order estimate (Eq. 4), with epsilon
-        // normalized by ||grad_val|| as in DARTS [52].
+        // normalized by ||grad_val|| as in DARTS [52]. The model is a
+        // constant here: the +/- passes need only its per-example losses,
+        // and one backward through the phase-1 M_W graph yields the
+        // difference of the two M_W gradients (DESIGN.md §4, Algorithm 2).
         const float v_norm = GlobalNorm(v_grad);
         const float eps = options_.epsilon / (v_norm + 1e-8f);
-        const auto weight_params = weighting_->Parameters();
-
-        SetValuesOffset(model_params, w_pre, v_grad, eps);
-        opt_model.ZeroGrad();
-        weighting_->ZeroGrad();
-        build_train_loss().Backward();
-        const std::vector<Tensor> g_plus = CloneGrads(weight_params);
-
-        SetValuesOffset(model_params, w_pre, v_grad, -eps);
-        opt_model.ZeroGrad();
-        weighting_->ZeroGrad();
-        build_train_loss().Backward();
-        const std::vector<Tensor> g_minus = CloneGrads(weight_params);
-
-        // grad(M_W) = -eta * (g+ - g-) / (2 eps)
-        opt_weight.ZeroGrad();
-        const float scale = -options_.lr / (2.0f * eps);
-        for (size_t i = 0; i < weight_params.size(); ++i) {
-          Tensor diff = g_plus[i].Clone();
-          diff.AddScaled(g_minus[i], -1.0f);
-          diff.Scale(scale);
-          // Deposit the estimated gradient into the parameter's grad.
-          Variable p = weight_params[i];
-          ops::Sum(ops::Mul(p, Variable(diff, false))).Backward();
+        Tensor ce_plus, ce_minus;
+        {
+          ROTOM_TRACE_SPAN("rotom.forward");
+          NoGradGuard guard;
+          SetValuesOffset(model_params, w_pre, v_grad, eps);
+          ce_plus = train_ce().value();
+          SetValuesOffset(model_params, w_pre, v_grad, -eps);
+          ce_minus = train_ce().value();
         }
-        nn::ClipGradNorm(weight_params, 5.0f);
+        opt_weight.ZeroGrad();
+        BackpropWeightingMetaGradient(weights, ce_plus, ce_minus, options_.lr,
+                                      eps);
+        nn::ClipGradNorm(weighting_->Parameters(), 5.0f);
         opt_weight.Step();
       }
 

@@ -82,5 +82,18 @@ Tensor WeightingModel::L2TermSoft(const Tensor& probs,
   return out;
 }
 
+void BackpropWeightingMetaGradient(const Variable& weights,
+                                   const Tensor& ce_plus,
+                                   const Tensor& ce_minus, float lr,
+                                   float eps) {
+  const int64_t n = weights.value().size();
+  ROTOM_CHECK_EQ(ce_plus.size(), n);
+  ROTOM_CHECK_EQ(ce_minus.size(), n);
+  Tensor diff = ce_plus.Clone();
+  diff.AddScaled(ce_minus, -1.0f);
+  diff.Scale(-lr / (2.0f * eps * static_cast<float>(n)));
+  ops::Dot(weights, Variable(std::move(diff), false)).Backward();
+}
+
 }  // namespace core
 }  // namespace rotom

@@ -47,6 +47,17 @@ class WeightingModel : public nn::Module {
   int64_t max_len_;
 };
 
+/// Adds the finite-difference estimate of the Eq. 4 meta-gradient to M_W's
+/// parameter gradients. `weights` [n] are the normalized M_W weights, with
+/// their graph; `ce_plus` / `ce_minus` [n] are the target model's
+/// per-example training losses at w_pre +/- eps * grad_val. The training
+/// loss dot(ce, weights) / n is linear in ce, so the DARTS difference
+/// g+ - g- of the two M_W gradients is J_w^T (ce_plus - ce_minus) / n: one
+/// backward through `weights` deposits -lr * (g+ - g-) / (2 eps).
+void BackpropWeightingMetaGradient(const Variable& weights,
+                                   const Tensor& ce_plus,
+                                   const Tensor& ce_minus, float lr, float eps);
+
 }  // namespace core
 }  // namespace rotom
 

@@ -353,5 +353,225 @@ TEST(RotomTrainerTest, FilterKeepsFractionBelowOneWhenAugsAreCorrupt) {
   EXPECT_LT(trainer.last_keep_fraction(), 1.0);
 }
 
+// ---- The M_W meta-gradient against a frozen copy of the legacy estimator.
+// The legacy estimator back-propagated the full weighted training loss
+// through the classifier AND M_W at w_pre +/- eps * v, cloned M_W's
+// gradients after each pass, and deposited -lr * (g+ - g-) / (2 eps) into
+// the parameters with a Sum(Mul(p, diff)) backward. The trainer now treats
+// M_W as a constant in phase 1 and back-propagates once through M_W with
+// the per-example loss difference (core::BackpropWeightingMetaGradient).
+
+constexpr float kMetaLr = 2e-3f;
+
+const std::vector<std::string>& MetaTexts() {
+  static const std::vector<std::string> texts = {
+      "the movie was great", "really bad movie",      "a fantastic movie",
+      "the product was awful", "good good movie",     "a boring movie"};
+  return texts;
+}
+
+models::ClassifierConfig DropoutConfig() {
+  models::ClassifierConfig config = TinyConfig();
+  config.dropout = 0.1f;
+  return config;
+}
+
+std::vector<Tensor> CopyValues(const std::vector<Variable>& params) {
+  std::vector<Tensor> out;
+  for (const auto& p : params) out.push_back(p.value().Clone());
+  return out;
+}
+
+std::vector<Tensor> CopyGrads(const std::vector<Variable>& params) {
+  std::vector<Tensor> out;
+  for (const auto& p : params) {
+    out.push_back(p.has_grad() ? p.grad().Clone()
+                               : Tensor(p.value().shape()));
+  }
+  return out;
+}
+
+// One meta batch: a classifier and an M_W (dropout configured on both), the
+// encoded texts, a constant L2 term and, for the SSL case, soft targets.
+struct MetaFixture {
+  MetaFixture(uint64_t seed, bool soft)
+      : vocab(TaskVocab()),
+        model_rng(seed),
+        model(DropoutConfig(), vocab, model_rng),
+        weighting_rng(seed + 100),
+        weighting(DropoutConfig(), vocab, weighting_rng),
+        batch(text::EncodeBatchForClassifier(*vocab, MetaTexts(),
+                                             DropoutConfig().max_len)) {
+    weighting.SetTraining(false);  // as in the trainer
+    Rng data_rng(seed + 200);
+    const int64_t n = batch.batch;
+    l2 = Tensor::RandUniform({n}, data_rng, 0.0f, 1.4f);
+    if (soft) {
+      soft_targets = Tensor::RandUniform({n, 2}, data_rng, 0.05f, 1.0f);
+      for (int64_t i = 0; i < n; ++i) {
+        const float sum = soft_targets.at({i, 0}) + soft_targets.at({i, 1});
+        for (int64_t j = 0; j < 2; ++j) soft_targets.at({i, j}) /= sum;
+      }
+    }
+  }
+
+  Variable Ce(Rng& rng) const {
+    Variable logits = model.ForwardLogitsEncoded(batch, rng);
+    return soft_targets.defined()
+               ? ops::SoftCrossEntropyPerExample(logits, soft_targets)
+               : ops::CrossEntropyPerExample(logits, labels);
+  }
+  Variable Weights(const WeightingModel& w, Rng& rng) const {
+    return ops::NormalizeMeanOne(w.WeightsEncoded(batch, l2, rng));
+  }
+  Variable Loss(const Variable& ce, const Variable& weights) const {
+    return ops::Scale(ops::Dot(ce, weights),
+                      1.0f / static_cast<float>(batch.batch));
+  }
+  // params := w_pre + alpha * v.
+  void Offset(const std::vector<Tensor>& w_pre, const std::vector<Tensor>& v,
+              float alpha) {
+    const auto params = model.Parameters();
+    for (size_t i = 0; i < params.size(); ++i) {
+      Tensor& value = const_cast<Variable&>(params[i]).value();
+      value.CopyFrom(w_pre[i]);
+      value.AddScaled(v[i], alpha);
+    }
+  }
+
+  std::shared_ptr<text::Vocabulary> vocab;
+  Rng model_rng;
+  models::TransformerClassifier model;
+  Rng weighting_rng;
+  WeightingModel weighting;
+  text::EncodedBatch batch;
+  std::vector<int64_t> labels = {1, 0, 1, 0, 1, 0};
+  Tensor l2;
+  Tensor soft_targets;  // undefined = hard labels
+};
+
+TEST(MetaGradientTest, Phase1ClassifierGradientsMatchLegacyBitForBit) {
+  for (bool soft : {false, true}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      MetaFixture f(seed, soft);
+      f.model.SetTraining(true);  // dropout draws from the step Rng
+      const auto params = f.model.Parameters();
+
+      // Legacy: the loss carries M_W's graph.
+      f.model.ZeroGrad();
+      Rng legacy_rng(seed);
+      Variable legacy_ce = f.Ce(legacy_rng);
+      Variable legacy = f.Loss(legacy_ce, f.Weights(f.weighting, legacy_rng));
+      legacy.Backward();
+      const auto legacy_grads = CopyGrads(params);
+
+      // Current: M_W runs without a graph and enters detached.
+      f.model.ZeroGrad();
+      Rng rng(seed);
+      Variable ce = f.Ce(rng);
+      Variable weights;
+      {
+        NoGradGuard guard;
+        weights = f.Weights(f.weighting, rng);
+      }
+      Variable loss = f.Loss(ce, weights.Detach());
+      loss.Backward();
+      EXPECT_EQ(legacy.value()[0], loss.value()[0]);
+      EXPECT_EQ(legacy_rng.Next64(), rng.Next64()) << "Rng streams diverged";
+      for (size_t i = 0; i < params.size(); ++i) {
+        const Tensor& g = params[i].grad();
+        ASSERT_EQ(g.size(), legacy_grads[i].size());
+        for (int64_t j = 0; j < g.size(); ++j) {
+          ASSERT_EQ(g[j], legacy_grads[i][j])
+              << "soft=" << soft << " seed=" << seed << " param " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(MetaGradientTest, WeightingGradientMatchesLegacyEstimator) {
+  const std::vector<std::string> val_texts = {"the product was good",
+                                              "really awful product"};
+  for (bool soft : {false, true}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      MetaFixture f(seed, soft);
+      // A second M_W with identical initial weights for the current path.
+      Rng fresh_rng(seed + 100);
+      WeightingModel fresh(DropoutConfig(), f.vocab, fresh_rng);
+      fresh.SetTraining(false);
+      f.model.SetTraining(false);  // the +/- passes run in eval mode
+      const auto params = f.model.Parameters();
+
+      // v = the validation gradient; eps normalized by its norm (DARTS).
+      Rng rng(seed);
+      f.model.ZeroGrad();
+      ops::CrossEntropyMean(
+          f.model.ForwardLogitsEncoded(
+              text::EncodeBatchForClassifier(*f.vocab, val_texts,
+                                             DropoutConfig().max_len),
+              rng),
+          {1, 0})
+          .Backward();
+      const auto v = CopyGrads(params);
+      double v_sq = 0.0;
+      for (const auto& t : v) v_sq += static_cast<double>(t.Norm()) * t.Norm();
+      const float eps = 0.01f / (static_cast<float>(std::sqrt(v_sq)) + 1e-8f);
+      const auto w_pre = CopyValues(params);
+
+      // Legacy estimator, frozen.
+      const auto legacy_params = f.weighting.Parameters();
+      std::vector<std::vector<Tensor>> g_pm;
+      for (float sign : {1.0f, -1.0f}) {
+        f.Offset(w_pre, v, sign * eps);
+        f.model.ZeroGrad();
+        f.weighting.ZeroGrad();
+        f.Loss(f.Ce(rng), f.Weights(f.weighting, rng)).Backward();
+        g_pm.push_back(CopyGrads(legacy_params));
+      }
+      f.weighting.ZeroGrad();
+      for (size_t i = 0; i < legacy_params.size(); ++i) {
+        Tensor diff = g_pm[0][i].Clone();
+        diff.AddScaled(g_pm[1][i], -1.0f);
+        diff.Scale(-kMetaLr / (2.0f * eps));
+        Variable p = legacy_params[i];
+        ops::Sum(ops::Mul(p, Variable(diff, false))).Backward();
+      }
+      const auto legacy = CopyGrads(legacy_params);
+
+      // Current estimator: M_W graph built once, classifier forwards only.
+      Variable weights = f.Weights(fresh, rng);
+      Tensor ce_plus, ce_minus;
+      {
+        NoGradGuard guard;
+        f.Offset(w_pre, v, eps);
+        ce_plus = f.Ce(rng).value();
+        f.Offset(w_pre, v, -eps);
+        ce_minus = f.Ce(rng).value();
+      }
+      core::BackpropWeightingMetaGradient(weights, ce_plus, ce_minus,
+                                          kMetaLr, eps);
+
+      const auto fresh_params = fresh.Parameters();
+      ASSERT_EQ(fresh_params.size(), legacy.size());
+      double diff_sq = 0.0, ref_sq = 0.0;
+      for (size_t i = 0; i < fresh_params.size(); ++i) {
+        // Every M_W parameter is reached, so Adam updates the same set.
+        ASSERT_TRUE(fresh_params[i].has_grad())
+            << "soft=" << soft << " seed=" << seed << " param " << i;
+        const Tensor& g = fresh_params[i].grad();
+        for (int64_t j = 0; j < g.size(); ++j) {
+          const double d = static_cast<double>(g[j]) - legacy[i][j];
+          diff_sq += d * d;
+          ref_sq += static_cast<double>(legacy[i][j]) * legacy[i][j];
+        }
+      }
+      ASSERT_GT(ref_sq, 0.0);
+      EXPECT_LE(std::sqrt(diff_sq / ref_sq), 1e-4)
+          << "soft=" << soft << " seed=" << seed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rotom

@@ -124,7 +124,8 @@ core::TrainResult RunFinetune(const PipelineConfig& config,
   return trainer.Train(TinyTask(), DuplicateToken);
 }
 
-core::TrainResult RunRotom(const PipelineConfig& config, bool use_ssl) {
+core::TrainResult RunRotom(const PipelineConfig& config, bool use_ssl,
+                           int64_t meta_update_every = 1) {
   ThreadGuard guard(config.threads);
   Rng rng(11);
   auto vocab = TaskVocab();
@@ -135,6 +136,7 @@ core::TrainResult RunRotom(const PipelineConfig& config, bool use_ssl) {
   options.augments_per_example = 2;
   options.use_ssl = use_ssl;
   options.ssl_warmup_epochs = 0;
+  options.meta_update_every = meta_update_every;
   options.seed = 5;
   options.pipeline = config.options;
   core::RotomTrainer trainer(&model, eval::MetricKind::kAccuracy, options);
@@ -203,6 +205,20 @@ TEST(PipelineDeterminismTest, RotomSslIsConfigInvariant) {
                   configs[3].label);
   ExpectIdentical(reference, RunRotom(configs[4], /*use_ssl=*/true),
                   configs[4].label);
+}
+
+TEST(PipelineDeterminismTest, RotomEveryOtherMetaStepIsConfigInvariant) {
+  // The bench cadence: phase 2 on every second step, so half the steps skip
+  // the parameter snapshots and run M_W without a graph.
+  const auto configs = AllConfigs();
+  for (bool use_ssl : {false, true}) {
+    const auto reference = RunRotom(configs[0], use_ssl, 2);
+    ASSERT_FALSE(reference.loss_history.empty());
+    ExpectIdentical(reference, RunRotom(configs[2], use_ssl, 2),
+                    use_ssl ? "ssl prefetch/1t" : "prefetch/1t");
+    ExpectIdentical(reference, RunRotom(configs[4], use_ssl, 2),
+                    use_ssl ? "ssl full/4t" : "full/4t");
+  }
 }
 
 TEST(PipelineDeterminismTest, InstrumentationIsResultInvariant) {

@@ -385,7 +385,8 @@ core::TrainResult RunStreamFinetune(int threads, bool prefetch,
 core::TrainResult RunStreamRotom(int threads, bool prefetch,
                                  int64_t max_steps = 8,
                                  const std::string& checkpoint = "",
-                                 const std::string& resume = "") {
+                                 const std::string& resume = "",
+                                 int64_t meta_update_every = 1) {
   ThreadGuard guard(threads);
   Rng rng(11);
   auto vocab = TaskVocab();
@@ -393,6 +394,7 @@ core::TrainResult RunStreamRotom(int threads, bool prefetch,
   core::RotomOptions options;
   options.batch_size = 6;
   options.augments_per_example = 2;
+  options.meta_update_every = meta_update_every;
   options.seed = 5;
   options.pipeline.prefetch = prefetch;
   options.pipeline.streaming.source = MixOfTwoStream();
@@ -460,13 +462,16 @@ TEST(StreamingTrainerTest, FinetuneResumeReproducesUninterruptedRun) {
   EXPECT_EQ(after.best_valid_metric, uninterrupted.best_valid_metric);
 }
 
-TEST(StreamingTrainerTest, RotomResumeReproducesUninterruptedRun) {
-  const auto uninterrupted = RunStreamRotom(2, true, /*max_steps=*/8);
+void ExpectRotomResumeReproducesUninterruptedRun(int64_t meta_update_every) {
+  const auto uninterrupted =
+      RunStreamRotom(2, true, /*max_steps=*/8, "", "", meta_update_every);
 
   const std::string ckpt = TempPath("rotom_resume.ckpt");
-  const auto before = RunStreamRotom(2, true, /*max_steps=*/4, ckpt);
+  const auto before =
+      RunStreamRotom(2, true, /*max_steps=*/4, ckpt, "", meta_update_every);
   ASSERT_EQ(before.steps, 4);
-  const auto after = RunStreamRotom(2, true, /*max_steps=*/8, "", ckpt);
+  const auto after =
+      RunStreamRotom(2, true, /*max_steps=*/8, "", ckpt, meta_update_every);
   ASSERT_EQ(after.steps, 4);
 
   std::vector<float> stitched = before.loss_history;
@@ -478,6 +483,15 @@ TEST(StreamingTrainerTest, RotomResumeReproducesUninterruptedRun) {
         << "resume diverged at step " << i;
   }
   EXPECT_EQ(after.best_valid_metric, uninterrupted.best_valid_metric);
+}
+
+TEST(StreamingTrainerTest, RotomResumeReproducesUninterruptedRun) {
+  ExpectRotomResumeReproducesUninterruptedRun(1);
+}
+
+TEST(StreamingTrainerTest, RotomResumeAtEveryOtherMetaStepReproducesRun) {
+  // The bench cadence: resumed steps must keep the global meta schedule.
+  ExpectRotomResumeReproducesUninterruptedRun(2);
 }
 
 // ----------------------------------------------------------- DataSource --
