@@ -12,14 +12,17 @@
 # the Tenant{Counter,Gauge,Histogram}(tenant, "<suffix>") helpers in
 # src/serve/tenant_server.cc, and the gate extracts the literal suffixes
 # and requires each to be documented as serve.tenant.<tenant>.<suffix>.
+# In the other direction, every `span.<name>.us` row of the span catalog
+# table must name a span something still emits, so a removed span cannot
+# leave a dead row behind.
 #
 # Usage:
 #   scripts/check_obs_docs.sh             # gate OBSERVABILITY.md
 #   scripts/check_obs_docs.sh --selftest  # prove the gate actually fails:
 #       copies the doc, strips a registry.* metric line, a serve.tenant.*
 #       suffix line, a serve-log field line, and the /metrics endpoint
-#       lines, and asserts the gate rejects each mutilated copy while
-#       passing the intact one. Wired into ctest as
+#       lines, injects a span row nothing emits, and asserts the gate
+#       rejects each mutilated copy while passing the intact one. Wired into ctest as
 #       tools_obs_docs_selftest.
 #
 # ROTOM_OBS_DOC overrides the documentation path (used by --selftest).
@@ -65,6 +68,15 @@ if [[ "${1:-}" == "--selftest" ]]; then
     exit 1
   fi
 
+  echo "selftest: span row for a span nothing emits must fail"
+  { cat OBSERVABILITY.md
+    echo '| `span.selftest.dead.us` | nowhere | a span no code emits | — |'
+  } > "$tmp/dead_span.md"
+  if ROTOM_OBS_DOC="$tmp/dead_span.md" "$0" >/dev/null 2>&1; then
+    echo "selftest FAILED: dead span.selftest.dead.us row was not flagged" >&2
+    exit 1
+  fi
+
   echo "check_obs_docs.sh selftest OK"
   exit 0
 fi
@@ -106,22 +118,35 @@ done < <(grep -rh 'Tenant\(Counter\|Gauge\|Histogram\)(' src bench tools \
            | sed -E 's/.*"([^"]+)"\).*/\1/' | sort -u)
 
 # ---- Span names: ROTOM_TRACE_SPAN("...") documented as span.<name>.us ----
+trace_spans="$(grep -rh 'ROTOM_TRACE_SPAN("' src bench tools \
+                 | grep -vE '^[[:space:]]*(//|\*)' \
+                 | grep -oE 'ROTOM_TRACE_SPAN\("[^"]+"\)' \
+                 | sed -E 's/.*\("([^"]+)"\).*/\1/' | sort -u)"
 while IFS= read -r name; do
   require "span.${name}.us" "span"
-done < <(grep -rh 'ROTOM_TRACE_SPAN("' src bench tools \
-           | grep -vE '^[[:space:]]*(//|\*)' \
-           | grep -oE 'ROTOM_TRACE_SPAN\("[^"]+"\)' \
-           | sed -E 's/.*\("([^"]+)"\).*/\1/' | sort -u)
+done <<< "$trace_spans"
 
 # ---- Retrospective span names: EmitCompletedSpan("...", us) records the
 # same span.<name>.us histogram without a scope object, so the serving
 # hot path only pays for spans on requests that cross a threshold. ----
+completed_spans="$(grep -rh 'EmitCompletedSpan("' src bench tools \
+                     | grep -vE '^[[:space:]]*(//|\*)' \
+                     | grep -oE 'EmitCompletedSpan\("[^"]+"' \
+                     | sed -E 's/.*\("([^"]+)"/\1/' | sort -u)"
 while IFS= read -r name; do
   require "span.${name}.us" "completed span"
-done < <(grep -rh 'EmitCompletedSpan("' src bench tools \
-           | grep -vE '^[[:space:]]*(//|\*)' \
-           | grep -oE 'EmitCompletedSpan\("[^"]+"' \
-           | sed -E 's/.*\("([^"]+)"/\1/' | sort -u)
+done <<< "$completed_spans"
+
+# ---- Dead span rows: every `span.<name>.us` row of the span catalog
+# table must name a span emitted through one of the two paths above. ----
+while IFS= read -r name; do
+  if ! grep -qxF "$name" <<< "$trace_spans"$'\n'"$completed_spans"; then
+    echo "check_obs_docs: span row 'span.${name}.us' in $doc names a" \
+         "span nothing emits (ROTOM_TRACE_SPAN / EmitCompletedSpan)" >&2
+    missing=1
+  fi
+done < <(grep -oE '^\| `span\.[^`]+\.us`' "$doc" \
+           | sed -E 's/^\| `span\.(.+)\.us`$/\1/' | sort -u)
 
 # ---- Run-log event names: RunLogLine <var>("...") in runlog.cc, plus the
 # raw crash-handler line. Documented backticked so a bare word elsewhere in

@@ -4,16 +4,10 @@
 #include <utility>
 
 #include "augment/mixda.h"
-#include "core/train_checkpoint.h"
 #include "nn/optim.h"
-#include "obs/metrics.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
-#include "stream/stream.h"
-#include "util/logging.h"
-#include "util/prefetcher.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace rotom {
 namespace core {
@@ -30,21 +24,6 @@ struct FinetuneBatch {
   text::EncodedBatch augmented;
 };
 
-// Streaming producer output: the batch plus the stream cursors captured
-// right after its examples were pulled (see the RotomTrainer streaming loop
-// for the capture-on-the-producer rationale).
-struct ProducedBatch {
-  FinetuneBatch batch;
-  stream::StreamState state;
-  std::string error;  // non-empty = the stream failed; fatal
-};
-
-// Per-purpose seed streams of the streaming mode (frozen: changing them
-// breaks resume of old checkpoints). Distinct from the RotomTrainer salts
-// only by namespace — both derive from the run seed via SplitSeed.
-constexpr uint64_t kStreamGenSalt = 0x526f746f6d477331ULL;
-constexpr uint64_t kStreamStepSalt = 0x526f746f6d537432ULL;
-
 }  // namespace
 
 FinetuneTrainer::FinetuneTrainer(models::TransformerClassifier* model,
@@ -56,19 +35,19 @@ FinetuneTrainer::FinetuneTrainer(models::TransformerClassifier* model,
 
 TrainResult FinetuneTrainer::Train(const data::TaskDataset& ds,
                                    const TextAugmenter& augmenter) {
-  const StreamingOptions& streaming = options_.pipeline.streaming;
-  ROTOM_CHECK(streaming.enabled() || !ds.train.empty());
-  if (streaming.enabled()) ROTOM_CHECK(!ds.valid.empty());
   if (options_.aug_mode != AugMode::kNone) {
     ROTOM_CHECK_MSG(augmenter != nullptr,
                     "augmented modes need a TextAugmenter");
   }
   ROTOM_TRACE_SPAN("finetune.train");
-  WallTimer timer;
-  Rng rng(options_.seed);
+  const auto cache = MakeEncodingCache(options_.pipeline, &model_->vocab(),
+                                       model_->config().max_len);
+  auto runlog = obs::RunLog::Open({options_.pipeline.runlog_dir, "finetune"});
+  TrainLoop loop({model_, metric_, &ds, &options_.pipeline, cache.get(),
+                  runlog.get(), options_.epochs,
+                  std::max<int64_t>(1, options_.batch_size), options_.seed});
   nn::Adam optimizer(model_->Parameters(), options_.lr);
 
-  auto runlog = obs::RunLog::Open({options_.pipeline.runlog_dir, "finetune"});
   if (runlog) {
     obs::RunLogManifest manifest;
     manifest.Set("trainer", "finetune")
@@ -82,30 +61,30 @@ TrainResult FinetuneTrainer::Train(const data::TaskDataset& ds,
         .Set("seed", static_cast<int64_t>(options_.seed))
         .Set("threads", static_cast<int64_t>(ComputeThreads()))
         .Set("train_examples", static_cast<int64_t>(ds.train.size()));
-    if (streaming.enabled()) {
-      manifest.Set("streaming", true)
-          .Set("max_steps", streaming.max_steps)
-          .Set("valid_every", streaming.valid_every);
-      if (!streaming.resume_from.empty())
-        manifest.Set("resumed_from", streaming.resume_from);
-    }
+    loop.AnnotateManifest(&manifest);
     runlog->WriteManifest(manifest);
   }
 
-  const auto cache = MakeEncodingCache(options_.pipeline, &model_->vocab(),
-                                       model_->config().max_len);
   const bool need_originals = options_.aug_mode != AugMode::kReplace;
   const bool need_augmented = options_.aug_mode != AugMode::kNone;
 
-  TrainResult result;
-  NamedTensors best_state = model_->StateDict();
-  double best_metric = -1.0;
-
-  // ---- One optimizer step over a prepared batch. Shared by the epoch loop
-  // (threading its sequential run Rng through every step) and the streaming
-  // loop (which derives an independent per-step Rng so a resumed run
-  // replays identically). ----
-  auto run_step = [&](FinetuneBatch batch, Rng& rng, int64_t epoch) {
+  TrainerParts<FinetuneBatch> parts;
+  // Prefetch thread: augment each pulled example under its own Rng, encode.
+  parts.produce = [&](std::vector<PulledExample> pulled) {
+    FinetuneBatch batch;
+    std::vector<std::string> orig_texts, aug_texts;
+    for (auto& [example, rng] : pulled) {
+      batch.labels.push_back(example.label);
+      if (need_originals) orig_texts.push_back(example.text);
+      if (need_augmented) aug_texts.push_back(augmenter(example.text, rng));
+    }
+    if (need_originals)
+      batch.originals = text::AssembleEncodedBatch(*cache, orig_texts);
+    if (need_augmented)
+      batch.augmented = text::AssembleEncodedBatch(*cache, aug_texts);
+    return batch;
+  };
+  parts.step = [&](FinetuneBatch batch, const StepInfo&, Rng& rng) {
     optimizer.ZeroGrad();
     Variable loss;
     {
@@ -132,238 +111,24 @@ TrainResult FinetuneTrainer::Train(const data::TaskDataset& ds,
       }
       loss = ops::CrossEntropyMean(logits, batch.labels);
     }
-    float grad_norm = 0.0f;
+    obs::RunLogStep record;
     {
       ROTOM_TRACE_SPAN("finetune.backward");
       loss.Backward();
-      grad_norm = nn::ClipGradNorm(optimizer.params(), 5.0f);
+      record.grad_norm = nn::ClipGradNorm(optimizer.params(), 5.0f);
       optimizer.Step();
     }
-    result.loss_history.push_back(loss.value()[0]);
-    ++result.steps;
-    if (runlog) {
-      obs::RunLogStep record;
-      record.step = result.steps;
-      record.epoch = epoch;
-      record.loss = static_cast<double>(loss.value()[0]);
-      record.lr = static_cast<double>(options_.lr);
-      record.grad_norm = static_cast<double>(grad_norm);
-      runlog->LogStep(record);
-    }
+    record.loss = static_cast<double>(loss.value()[0]);
+    record.lr = static_cast<double>(options_.lr);
+    return record;
   };
-
-  if (!streaming.enabled()) {
-    // ==== Epoch mode: materialize each epoch's augmentations up front. ====
-    std::vector<data::Example> train = ds.train;
-    for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      model_->SetTraining(true);
-      rng.Shuffle(train);
-      const int64_t n = static_cast<int64_t>(train.size());
-
-      // Materialize the epoch's augmentations up front on the compute pool.
-      // Each example owns an Rng stream split from one epoch seed, so the
-      // result is the same at any thread count — and identical to what a
-      // serial loop over the same streams would produce.
-      std::vector<std::string> augmented(need_augmented ? train.size() : 0);
-      if (need_augmented) {
-        ROTOM_TRACE_SPAN("finetune.augment");
-        const uint64_t epoch_seed = rng.Next64();
-        ComputePool().ParallelFor(n, 1, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            Rng ex_rng(SplitSeed(epoch_seed, static_cast<uint64_t>(i)));
-            augmented[i] = augmenter(train[i].text, ex_rng);
-          }
-        });
-      }
-
-      const size_t batch_size = static_cast<size_t>(options_.batch_size);
-      const size_t num_batches = (train.size() + batch_size - 1) / batch_size;
-      auto produce = [&](size_t bi) -> FinetuneBatch {
-        // Runs on the prefetch thread when prefetch is on.
-        ROTOM_TRACE_SPAN("finetune.encode");
-        const size_t begin = bi * batch_size;
-        const size_t end = std::min(begin + batch_size, train.size());
-        FinetuneBatch batch;
-        std::vector<std::string> orig_texts, aug_texts;
-        for (size_t i = begin; i < end; ++i) {
-          batch.labels.push_back(train[i].label);
-          if (need_originals) orig_texts.push_back(train[i].text);
-          if (need_augmented) aug_texts.push_back(augmented[i]);
-        }
-        if (need_originals)
-          batch.originals = text::AssembleEncodedBatch(*cache, orig_texts);
-        if (need_augmented)
-          batch.augmented = text::AssembleEncodedBatch(*cache, aug_texts);
-        return batch;
-      };
-      Prefetcher<FinetuneBatch> prefetcher(produce, num_batches,
-                                           options_.pipeline.prefetch,
-                                           options_.pipeline.prefetch_depth);
-
-      while (auto next = prefetcher.Next()) {
-        run_step(std::move(*next), rng, epoch);
-      }
-
-      const double valid_metric =
-          eval::EvaluateModel(*model_, ds.valid, metric_, cache.get());
-      if (runlog)
-        runlog->LogEpoch(epoch, valid_metric, /*keep_fraction=*/-1.0);
-      if (valid_metric > best_metric) {
-        best_metric = valid_metric;
-        best_state = model_->StateDict();
-      }
-      ++result.epochs_run;
-    }
-  } else {
-    // ==== Streaming mode: step budget over an ExampleStream pipeline
-    // (DESIGN.md §14), mirroring the RotomTrainer streaming loop. ====
-    stream::ExampleStream& source = *streaming.source;
-    const int64_t max_steps = streaming.max_steps;
-    ROTOM_CHECK_GT(max_steps, 0);
-    const int64_t valid_every =
-        streaming.valid_every > 0
-            ? streaming.valid_every
-            : std::max<int64_t>(
-                  1, (max_steps + std::max<int64_t>(1, options_.epochs) - 1) /
-                         std::max<int64_t>(1, options_.epochs));
-    const uint64_t gen_seed = SplitSeed(options_.seed, kStreamGenSalt);
-    const uint64_t step_salt = SplitSeed(options_.seed, kStreamStepSalt);
-
-    int64_t start_step = 0;
-    if (!streaming.resume_from.empty()) {
-      auto loaded = TrainCheckpoint::Load(streaming.resume_from);
-      ROTOM_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
-      const TrainCheckpoint& ckpt = loaded.value();
-      model_->LoadStateDict(ckpt.tensors(), "model.");
-      auto require_int = [&](const char* key) {
-        auto v = ckpt.GetInt(key);
-        ROTOM_CHECK_MSG(v.ok(), key);
-        return v.value();
-      };
-      Status opt_status = optimizer.LoadStateTensors(
-          ckpt.tensors(), "opt_model.", require_int("opt_model.step"));
-      ROTOM_CHECK_MSG(opt_status.ok(), opt_status.message().c_str());
-      best_state.clear();
-      for (const auto& [name, tensor] : ckpt.tensors()) {
-        if (name.rfind("best.", 0) == 0) {
-          best_state.emplace_back(name.substr(5), tensor.Clone());
-        }
-      }
-      auto best = ckpt.GetDouble("best_metric");
-      ROTOM_CHECK(best.ok());
-      best_metric = best.value();
-      result.epochs_run = require_int("epochs_run");
-      start_step = require_int("step");
-      auto stream_scalar = ckpt.GetScalar("stream");
-      ROTOM_CHECK(stream_scalar.ok());
-      auto target = stream::StreamState::Parse(stream_scalar.value());
-      ROTOM_CHECK_MSG(target.ok(), target.status().message().c_str());
-      Status replayed = stream::RestoreByReplay(source, target.value());
-      ROTOM_CHECK_MSG(replayed.ok(), replayed.message().c_str());
-    }
-    ROTOM_CHECK_LE(start_step, max_steps);
-
-    const int64_t pulls_per_batch = std::max<int64_t>(1, options_.batch_size);
-
-    // Capture the resume-point cursors BEFORE the prefetcher exists: its
-    // producer thread starts pulling immediately and owns the stream from
-    // then on.
-    stream::StreamState consumed_state = stream::CaptureState(source);
-
-    auto produce = [&](size_t) -> ProducedBatch {
-      // Prefetch thread: pull originals, augment on the fly under per-draw
-      // split seeds, encode, snapshot the stream cursors.
-      ROTOM_TRACE_SPAN("stream.batch");
-      ProducedBatch out;
-      std::vector<std::string> orig_texts, aug_texts;
-      for (int64_t j = 0; j < pulls_per_batch; ++j) {
-        const uint64_t draw_index = static_cast<uint64_t>(source.draws());
-        auto example = source.Next();
-        if (!example.ok()) {
-          out.error = example.status().message();
-          return out;
-        }
-        out.batch.labels.push_back(example.value().label);
-        if (need_originals) orig_texts.push_back(example.value().text);
-        if (need_augmented) {
-          Rng ex_rng(SplitSeed(gen_seed, draw_index));
-          aug_texts.push_back(augmenter(example.value().text, ex_rng));
-        }
-      }
-      if (need_originals)
-        out.batch.originals = text::AssembleEncodedBatch(*cache, orig_texts);
-      if (need_augmented)
-        out.batch.augmented = text::AssembleEncodedBatch(*cache, aug_texts);
-      out.state = stream::CaptureState(source);
-      return out;
-    };
-    Prefetcher<ProducedBatch> prefetcher(
-        produce, static_cast<size_t>(max_steps - start_step),
-        options_.pipeline.prefetch, options_.pipeline.prefetch_depth);
-
-    int64_t global_step = start_step;
-    model_->SetTraining(true);
-
-    for (;;) {
-      WallTimer wait_timer;
-      auto next = prefetcher.Next();
-      obs::GetHistogram("stream.stall_us")
-          .Record(static_cast<uint64_t>(wait_timer.Seconds() * 1e6));
-      if (!next) break;
-      ProducedBatch produced = std::move(*next);
-      ROTOM_CHECK_MSG(produced.error.empty(), produced.error.c_str());
-      const int64_t round = global_step / valid_every;
-      // Independent per-step randomness: a resumed run re-derives the same
-      // stream for step k that the uninterrupted run used.
-      Rng step_rng(SplitSeed(step_salt, static_cast<uint64_t>(global_step)));
-      run_step(std::move(produced.batch), step_rng, round);
-      consumed_state = std::move(produced.state);
-      ++global_step;
-
-      if (global_step % valid_every == 0 || global_step == max_steps) {
-        const int64_t round_done = (global_step - 1) / valid_every;
-        const double valid_metric =
-            eval::EvaluateModel(*model_, ds.valid, metric_, cache.get());
-        if (runlog)
-          runlog->LogEpoch(round_done, valid_metric, /*keep_fraction=*/-1.0);
-        if (valid_metric > best_metric) {
-          best_metric = valid_metric;
-          best_state = model_->StateDict();
-        }
-        ++result.epochs_run;
-        if (runlog) {
-          runlog->LogStreamState(global_step, round_done,
-                                 consumed_state.Serialize());
-        }
-        if (!streaming.checkpoint_path.empty()) {
-          TrainCheckpoint ckpt;
-          ckpt.SetInt("step", global_step);
-          ckpt.SetDouble("best_metric", best_metric);
-          ckpt.SetInt("epochs_run", result.epochs_run);
-          ckpt.SetInt("opt_model.step", optimizer.step_count());
-          ckpt.SetScalar("stream", consumed_state.Serialize());
-          auto& tensors = ckpt.tensors();
-          for (auto& [name, t] : model_->StateDict("model."))
-            tensors.emplace_back(name, std::move(t));
-          for (const auto& [name, t] : best_state)
-            tensors.emplace_back("best." + name, t.Clone());
-          for (auto& [name, t] : optimizer.StateTensors("opt_model."))
-            tensors.emplace_back(name, std::move(t));
-          auto saved = ckpt.Save(streaming.checkpoint_path);
-          ROTOM_CHECK_MSG(saved.ok(), saved.message().c_str());
-          obs::GetCounter("stream.checkpoint.writes").Add();
-        }
-        model_->SetTraining(true);
-      }
-    }
-  }
-
-  model_->LoadStateDict(best_state);
-  model_->SetTraining(false);
-  result.best_valid_metric = best_metric;
-  result.seconds = timer.Seconds();
-  if (runlog) result.runlog_path = runlog->path();
-  return result;
+  parts.save = [&](TrainCheckpoint* ckpt) {
+    SaveAdam(optimizer, "opt_model.", ckpt);
+  };
+  parts.restore = [&](const TrainCheckpoint& ckpt) {
+    return RestoreAdam(ckpt, "opt_model.", &optimizer);
+  };
+  return loop.Run(parts);
 }
 
 }  // namespace core

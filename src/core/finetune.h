@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/train_loop.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "models/classifier.h"
@@ -13,31 +14,16 @@
 namespace rotom {
 namespace core {
 
-/// Outcome of a training run: the best validation score (percentage), the
-/// score of the restored-best model on the validation set, wall time, and
-/// number of epochs/steps executed. `loss_history` records the training
-/// loss of every optimizer step — the determinism tests compare these
-/// trajectories bit-for-bit across pipeline configurations. `runlog_path`
-/// is the flight-recorder JSONL file written for the run (obs/runlog.h),
-/// "" when run logging is off.
-struct TrainResult {
-  double best_valid_metric = 0.0;
-  double seconds = 0.0;
-  int64_t epochs_run = 0;
-  int64_t steps = 0;
-  std::vector<float> loss_history;
-  std::string runlog_path;
-};
-
 /// Produces one augmented variant of a text (simple DA op, InvDA sample,
-/// ...). May return the input unchanged. Augmenters run on compute-pool
-/// workers (each call gets its own Rng stream), so they must be safe to
-/// call concurrently: no mutation of shared state without synchronization.
+/// ...). May return the input unchanged. Augmenters run on the training
+/// loop's prefetch thread, concurrently with the step on the calling
+/// thread, and get their own Rng stream per pulled example: they must not
+/// mutate state the caller reads without synchronization.
 using TextAugmenter = std::function<std::string(const std::string&, Rng&)>;
 
 /// How augmented examples enter plain fine-tuning:
 ///  - kNone:    no augmentation (the paper's LM baseline);
-///  - kReplace: each epoch trains on freshly augmented versions of every
+///  - kReplace: each pass trains on freshly augmented versions of every
 ///              example (the paper's InvDA rows, and the classic EDA recipe);
 ///  - kMixDa:   interpolates the LM representations of the original and the
 ///              augmented sequence with lambda ~ Beta (the MixDA rows [58]).

@@ -17,29 +17,33 @@ class ExampleStream;  // stream/stream.h
 
 namespace core {
 
-/// Streaming (step-budgeted) training mode: instead of epochs over a
-/// materialized TaskDataset::train, the trainer pulls labeled examples from
-/// an ExampleStream pipeline (stream/stream.h) for `max_steps` optimizer
-/// steps, validating every `valid_every` steps against the materialized
-/// valid split. The stream replaces only the *train* split — valid/test
-/// and the unlabeled SSL pool stay materialized.
+/// Where the training loop (core/train_loop.h) draws examples from, its
+/// step budget, and its checkpointing. Every run is a stream: without a
+/// `source` the loop streams TaskDataset::train as `epochs` passes, each a
+/// fresh permutation, with one validation round per pass. With a `source`
+/// it pulls labeled examples from that ExampleStream pipeline
+/// (stream/stream.h) for `max_steps` optimizer steps, validating every
+/// `valid_every` steps against the materialized valid split. The stream
+/// replaces only the *train* split — valid/test and the unlabeled SSL pool
+/// stay materialized.
 ///
-/// Like `op_set`, this is a semantic knob: the example order differs from
-/// the epoch loop's Fisher-Yates shuffle, so determinism holds per
+/// Like `op_set`, `source` is a semantic knob: determinism holds per
 /// configuration (same stream spec + seeds → bit-identical run), not
-/// across streaming/epoch modes.
+/// across sources.
 struct StreamingOptions {
   /// Root of the example pipeline (typically ShuffleBuffer(Mix(sources))).
   /// Shared so a caller can inspect stream state after training; the
-  /// trainer is the only puller while Train runs. Null = epoch mode.
+  /// trainer is the only puller while Train runs. Null = stream
+  /// TaskDataset::train for `epochs` passes.
   std::shared_ptr<stream::ExampleStream> source;
 
-  /// Total optimizer steps; must be > 0 when `source` is set.
+  /// Total optimizer steps; must be > 0 when `source` is set (without one
+  /// the budget is `epochs` passes).
   int64_t max_steps = 0;
 
-  /// Validation/checkpoint cadence in steps; 0 = ceil(max_steps / epochs)
-  /// so a streaming run logs the same number of "epoch" rounds as the
-  /// epoch-budgeted configuration it replaces.
+  /// Validation/checkpoint cadence in steps when `source` is set; 0 =
+  /// ceil(max_steps / epochs) so a streaming run logs the same number of
+  /// "epoch" rounds as the epoch-budgeted configuration it replaces.
   int64_t valid_every = 0;
 
   /// When non-empty, a TrainCheckpoint (model + optimizers + stream
@@ -47,23 +51,23 @@ struct StreamingOptions {
   std::string checkpoint_path;
 
   /// When non-empty, training state is restored from this checkpoint and
-  /// the run continues at the recorded step; the stream `source` must be a
-  /// freshly built pipeline of the same spec (it is fast-forwarded by
-  /// replay). The resumed run's remaining steps reproduce the
-  /// uninterrupted run bit-identically.
+  /// the run continues at the recorded step; a `source` must be a freshly
+  /// built pipeline of the same spec (it is fast-forwarded by replay). The
+  /// resumed run's remaining steps reproduce the uninterrupted run
+  /// bit-identically. A missing, corrupted, or mismatched checkpoint makes
+  /// Train return TrainResult::status as an error.
   std::string resume_from;
-
-  bool enabled() const { return source != nullptr; }
 };
 
 /// Configuration of the training data pipeline shared by RotomTrainer,
 /// FinetuneTrainer, and the pretraining loops. The pipeline is a pure
 /// performance layer: every setting combination produces bit-identical
-/// training trajectories (augmentation uses per-example RNG streams split
-/// from the epoch seed, encoding consumes no randomness, and the cache only
-/// memoizes pure functions), so these knobs trade memory and threads for
-/// wall-clock only — with one flagged exception, `op_set`, which selects the
-/// augmentation-operator space itself (see its comment below).
+/// training trajectories (augmentation uses per-example RNG streams keyed
+/// by the source draw counter, encoding consumes no randomness, and the
+/// cache only memoizes pure functions), so these knobs trade memory and
+/// threads for wall-clock only — with two flagged exceptions, `op_set`,
+/// which selects the augmentation-operator space itself, and
+/// `streaming.source` (see their comments).
 /// pipeline_determinism_test enforces this — including with
 /// the obs metrics/tracing layer recording, which is held to the same
 /// contract (see obs/metrics.h).
@@ -106,8 +110,9 @@ struct PipelineOptions {
   /// set, which reproduces the legacy hard-wired behavior bit-for-bit.
   std::string op_set = "default";
 
-  /// Streaming step-budget mode (see StreamingOptions above). Defaults to
-  /// disabled (null source) = the epoch loop.
+  /// Example source, step budget and checkpointing of the training loop
+  /// (see StreamingOptions above). Defaults to `epochs` passes over the
+  /// train split, no checkpoints.
   StreamingOptions streaming;
 
   bool cache_enabled() const { return cache_rows > 0; }

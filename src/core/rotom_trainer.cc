@@ -6,75 +6,28 @@
 #include <utility>
 
 #include "core/ssl.h"
-#include "core/train_checkpoint.h"
+#include "core/train_loop.h"
 #include "nn/optim.h"
-#include "obs/metrics.h"
 #include "obs/runlog.h"
 #include "obs/trace.h"
-#include "stream/stream.h"
-#include "util/logging.h"
-#include "util/prefetcher.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace rotom {
 namespace core {
 
 namespace {
 
-// One (original, augmented, label) tuple of the candidate stream.
-struct Candidate {
-  std::string original;
-  std::string augmented;
-  std::string op;  // producing operator tag ("" = untagged; run-log counts)
-  int64_t label;
-  bool is_original;  // untouched training examples bypass the filter
-};
-
-// One prefetched training batch: the raw tuples plus the joint encoding of
+// One prefetched training batch of (original, augmented, label) tuples:
+// each pulled example with its candidates, plus the joint encoding of
 // [originals; augmented] (2B rows) that feeds the fused meta-feature pass.
-// Everything here is a pure function of the candidate stream and the
-// encoding cache, so it is materialized on the prefetch thread while the
-// previous step trains.
-struct StreamBatch {
+// A pure function of the pulled examples and the encoding cache, so it is
+// materialized on the prefetch thread while the previous step trains.
+struct CandidateBatch {
   std::vector<std::string> aug_texts;
-  std::vector<std::string> ops;
+  std::vector<std::string> ops;  // operator tags ("" = untagged)
   std::vector<int64_t> labels;
-  std::vector<bool> is_original;
+  std::vector<bool> is_original;  // untouched examples bypass the filter
   text::EncodedBatch joint;  // rows [0,B) originals, rows [B,2B) augmented
-};
-
-// Gathers tuples [begin, end) into a StreamBatch and encodes the joint
-// [originals; augmented] view. Shared by the epoch-mode prefetch producer
-// (slicing the shuffled per-epoch candidate vector) and the streaming
-// producer (batching freshly pulled tuples).
-StreamBatch AssembleStreamBatch(const std::vector<Candidate>& tuples,
-                                size_t begin, size_t end,
-                                text::EncodingCache& cache) {
-  StreamBatch batch;
-  std::vector<std::string> joint_texts;
-  joint_texts.reserve(2 * (end - begin));
-  for (size_t i = begin; i < end; ++i) joint_texts.push_back(tuples[i].original);
-  for (size_t i = begin; i < end; ++i) {
-    batch.aug_texts.push_back(tuples[i].augmented);
-    batch.ops.push_back(tuples[i].op);
-    batch.labels.push_back(tuples[i].label);
-    batch.is_original.push_back(tuples[i].is_original);
-    joint_texts.push_back(tuples[i].augmented);
-  }
-  batch.joint = text::AssembleEncodedBatch(cache, joint_texts);
-  return batch;
-}
-
-// Streaming producer output: the batch plus the stream cursors captured
-// right after its examples were pulled. The capture rides WITH the batch
-// (producer side) because the prefetcher runs ahead of the consumer — the
-// checkpointable position is the state of the last *consumed* batch, not
-// whatever the producer has raced ahead to.
-struct ProducedBatch {
-  StreamBatch batch;
-  stream::StreamState state;
-  std::string error;  // non-empty = the stream failed; fatal
 };
 
 std::vector<Tensor> CloneValues(const std::vector<Variable>& params) {
@@ -134,13 +87,6 @@ Tensor SliceRows(const Tensor& src, int64_t row_begin, int64_t rows) {
   return out;
 }
 
-// Distinct per-purpose seed streams of the streaming mode, split from the
-// run seed: candidate generation (indexed by global example draw), and
-// per-step training stochasticity (indexed by global step). Constants are
-// arbitrary but frozen — changing either breaks resume of old checkpoints.
-constexpr uint64_t kStreamGenSalt = 0x526f746f6d477331ULL;
-constexpr uint64_t kStreamStepSalt = 0x526f746f6d537432ULL;
-
 }  // namespace
 
 RotomTrainer::RotomTrainer(models::TransformerClassifier* model,
@@ -164,13 +110,25 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
 
 TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
                                 const TaggedCandidateGenerator& candidates) {
-  const StreamingOptions& streaming = options_.pipeline.streaming;
-  ROTOM_CHECK(streaming.enabled() || !ds.train.empty());
   ROTOM_CHECK(!ds.valid.empty());
   ROTOM_CHECK(candidates != nullptr);
   ROTOM_TRACE_SPAN("rotom.train");
-  WallTimer timer;
-  Rng rng(options_.seed);
+
+  // One cache for the whole run: originals and validation texts are encoded
+  // exactly once, augmented candidates are encoded once by the prefetcher
+  // and hit again when the kept subset re-enters the training loss.
+  const auto cache = MakeEncodingCache(options_.pipeline, &model_->vocab(),
+                                       model_->config().max_len);
+  auto runlog = obs::RunLog::Open({options_.pipeline.runlog_dir, "rotom"});
+  // Originals pulled per batch so that originals + augmented candidates
+  // fill roughly batch_size tuples.
+  const int64_t tuples_per_pull =
+      options_.augments_per_example + (options_.include_original ? 1 : 0);
+  TrainLoop loop({model_, metric_, &ds, &options_.pipeline, cache.get(),
+                  runlog.get(), options_.epochs,
+                  std::max<int64_t>(1, options_.batch_size /
+                                           std::max<int64_t>(1, tuples_per_pull)),
+                  options_.seed});
 
   // Meta models are created lazily here so they share the task vocabulary.
   Rng init_rng(options_.seed * 31 + 7);
@@ -191,13 +149,6 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
   const std::vector<Variable> model_params = model_->Parameters();
   const int64_t num_classes = model_->config().num_classes;
 
-  // One cache for the whole run: originals and validation texts are encoded
-  // exactly once, augmented candidates are encoded once by the prefetcher
-  // and hit again when the kept subset re-enters the training loss.
-  const auto cache = MakeEncodingCache(options_.pipeline, &model_->vocab(),
-                                       model_->config().max_len);
-
-  auto runlog = obs::RunLog::Open({options_.pipeline.runlog_dir, "rotom"});
   if (runlog) {
     obs::RunLogManifest manifest;
     manifest.Set("trainer", "rotom")
@@ -219,44 +170,59 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
         .Set("valid_examples", static_cast<int64_t>(ds.valid.size()))
         .Set("unlabeled_examples", static_cast<int64_t>(ds.unlabeled.size()))
         .Set("num_classes", model_->config().num_classes);
-    if (streaming.enabled()) {
-      manifest.Set("streaming", true)
-          .Set("max_steps", streaming.max_steps)
-          .Set("valid_every", streaming.valid_every);
-      if (!streaming.resume_from.empty())
-        manifest.Set("resumed_from", streaming.resume_from);
-    }
+    loop.AnnotateManifest(&manifest);
     runlog->WriteManifest(manifest);
   }
 
   std::vector<std::string> unlabeled = ds.unlabeled;
   if (static_cast<int64_t>(unlabeled.size()) > options_.max_unlabeled) {
+    Rng rng(options_.seed);
     rng.Shuffle(unlabeled);
     unlabeled.resize(options_.max_unlabeled);
   }
   const bool ssl_active = options_.use_ssl && !unlabeled.empty();
 
-  TrainResult result;
-  NamedTensors best_state = model_->StateDict();
-  double best_metric = -1.0;
   size_t valid_cursor = 0;
   // Moving-average baseline for the REINFORCE estimator (standard variance
   // reduction for Eq. 3; without it the always-positive validation loss
   // uniformly crushes keep probabilities).
   double reward_baseline = 0.0;
   bool baseline_ready = false;
-
-  // Per-round filter accounting. The epoch loop resets these at every epoch
-  // (last_keep_fraction_ is a per-epoch aggregate); the streaming loop
-  // resets them at every validation round.
+  // Filter accounting of the current validation round (last_keep_fraction_
+  // is its aggregate).
   int64_t kept_count = 0, total_count = 0;
-  int64_t step_index = 0;  // meta-update cadence counter
 
-  // ---- One optimizer step: Algorithm 2 phases 1 and 2 over a prepared
-  // batch. Shared verbatim by the epoch loop (which threads its sequential
-  // run Rng through every step) and the streaming loop (which derives an
-  // independent per-step Rng so a resumed run replays identically). ----
-  auto run_step = [&](StreamBatch batch, Rng& rng, int64_t epoch) {
+  TrainerParts<CandidateBatch> parts;
+  // Prefetch thread: each pulled example followed by its candidates, then
+  // the joint encoding.
+  parts.produce = [&](std::vector<PulledExample> pulled) {
+    CandidateBatch batch;
+    std::vector<std::string> joint_texts;
+    auto add = [&](const data::Example& example, std::string text,
+                   std::string op, bool is_original) {
+      joint_texts.push_back(example.text);
+      batch.aug_texts.push_back(std::move(text));
+      batch.ops.push_back(std::move(op));
+      batch.labels.push_back(example.label);
+      batch.is_original.push_back(is_original);
+    };
+    for (auto& [example, rng] : pulled) {
+      auto augs = candidates(example.text, rng);
+      if (static_cast<int64_t>(augs.size()) > options_.augments_per_example)
+        augs.resize(options_.augments_per_example);
+      if (options_.include_original)
+        add(example, example.text, "original", true);
+      for (auto& aug : augs)
+        add(example, std::move(aug.text), std::move(aug.op), false);
+    }
+    joint_texts.insert(joint_texts.end(), batch.aug_texts.begin(),
+                       batch.aug_texts.end());
+    batch.joint = text::AssembleEncodedBatch(*cache, joint_texts);
+    return batch;
+  };
+
+  // ---- One optimizer step: Algorithm 2 phases 1 and 2. ----
+  parts.step = [&](CandidateBatch batch, const StepInfo& info, Rng& rng) {
     const int64_t b = static_cast<int64_t>(batch.labels.size());
     const std::vector<int64_t>& labels = batch.labels;
     const std::vector<bool>& is_original = batch.is_original;
@@ -320,7 +286,7 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     // ---- Optional SSL batch (Section 5): guessed labels, no filter. ----
     std::vector<std::string> ssl_texts;
     Tensor ssl_targets;
-    if (ssl_active && epoch >= options_.ssl_warmup_epochs) {
+    if (ssl_active && info.round >= options_.ssl_warmup_epochs) {
       ROTOM_TRACE_SPAN("rotom.ssl");
       std::vector<std::string> pool;
       const int64_t ssl_pool_size = std::max<int64_t>(
@@ -422,8 +388,7 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     // parameter snapshots and the M_W graph needed.
     const bool meta_step =
         (options_.use_filtering || options_.use_weighting) &&
-        (step_index % std::max<int64_t>(1, options_.meta_update_every) == 0);
-    ++step_index;
+        (info.step % std::max<int64_t>(1, options_.meta_update_every) == 0);
 
     // Per-example training loss of the CURRENT model parameters: hard
     // labels, or one-hot rows plus the SSL guesses as soft targets.
@@ -480,16 +445,12 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
     }
     opt_model.Step();
     if (meta_step) w_post = CloneValues(model_params);
-    result.loss_history.push_back(loss_value);
-    ++result.steps;
 
+    obs::RunLogStep record;
+    record.loss = static_cast<double>(loss_value);
+    record.lr = static_cast<double>(options_.lr);
+    record.grad_norm = static_cast<double>(grad_norm);
     if (runlog) {
-      obs::RunLogStep record;
-      record.step = result.steps;
-      record.epoch = epoch;
-      record.loss = static_cast<double>(loss_value);
-      record.lr = static_cast<double>(options_.lr);
-      record.grad_norm = static_cast<double>(grad_norm);
       record.keep_rate = static_cast<double>(kept_rows.size()) /
                          static_cast<double>(b);
       const Tensor& step_weights = weights.value();
@@ -513,7 +474,6 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
         const std::string& op = batch.ops[i];
         if (!op.empty()) ++record.op_offered[op];
       }
-      runlog->LogStep(record);
     }
 
     // ---- Phase 2: update M_F and M_W (lines 8-11). ----
@@ -593,284 +553,50 @@ TrainResult RotomTrainer::Train(const data::TaskDataset& ds,
       opt_model.ZeroGrad();
       model_->SetTraining(true);
     }
+    return record;
   };
 
-  if (!streaming.enabled()) {
-    // ==== Epoch mode: the paper's materialize-then-iterate loop. ====
-    for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      // Fresh candidate stream per epoch, generated in parallel: example i
-      // augments under its own Rng stream split from one epoch seed, so the
-      // stream is identical at any thread count (and to the serial path).
-      const uint64_t epoch_seed = rng.Next64();
-      const int64_t n_train = static_cast<int64_t>(ds.train.size());
-      std::vector<std::vector<TaggedCandidate>> augs_per_example(
-          ds.train.size());
-      {
-        ROTOM_TRACE_SPAN("rotom.augment");
-        ComputePool().ParallelFor(n_train, 1, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            Rng ex_rng(SplitSeed(epoch_seed, static_cast<uint64_t>(i)));
-            auto augs = candidates(ds.train[i].text, ex_rng);
-            if (static_cast<int64_t>(augs.size()) >
-                options_.augments_per_example)
-              augs.resize(options_.augments_per_example);
-            augs_per_example[i] = std::move(augs);
-          }
-        });
-      }
-      std::vector<Candidate> stream;
-      for (int64_t i = 0; i < n_train; ++i) {
-        const auto& example = ds.train[i];
-        if (options_.include_original) {
-          stream.push_back({example.text, example.text, "original",
-                            example.label, true});
-        }
-        for (auto& aug : augs_per_example[i]) {
-          stream.push_back({example.text, std::move(aug.text),
-                            std::move(aug.op), example.label, false});
-        }
-      }
-      rng.Shuffle(stream);
-
-      // Double-buffered batch materialization: while step t trains, the
-      // prefetch thread gathers and encodes batch t+1 (encoding consumes no
-      // randomness, so this moves work off the critical path without
-      // touching the training trajectory).
-      const size_t batch_size = static_cast<size_t>(options_.batch_size);
-      const size_t num_batches =
-          (stream.size() + batch_size - 1) / batch_size;
-      auto produce = [&](size_t bi) -> StreamBatch {
-        // Runs on the prefetch thread when prefetch is on; the trace view
-        // shows it overlapping the training phases of the previous step.
-        ROTOM_TRACE_SPAN("rotom.encode");
-        const size_t begin = bi * batch_size;
-        const size_t end = std::min(begin + batch_size, stream.size());
-        return AssembleStreamBatch(stream, begin, end, *cache);
-      };
-      Prefetcher<StreamBatch> prefetcher(produce, num_batches,
-                                         options_.pipeline.prefetch,
-                                         options_.pipeline.prefetch_depth);
-
-      kept_count = 0;
-      total_count = 0;
-      step_index = 0;
-      model_->SetTraining(true);
-
-      while (auto next = prefetcher.Next()) {
-        run_step(std::move(*next), rng, epoch);
-      }
-
-      last_keep_fraction_ =
-          total_count > 0
-              ? static_cast<double>(kept_count) /
-                    static_cast<double>(total_count)
-              : 1.0;
-
-      const double valid_metric =
-          eval::EvaluateModel(*model_, ds.valid, metric_, cache.get());
-      if (runlog) runlog->LogEpoch(epoch, valid_metric, last_keep_fraction_);
-      if (valid_metric > best_metric) {
-        best_metric = valid_metric;
-        best_state = model_->StateDict();
-      }
-      ++result.epochs_run;
-    }
-  } else {
-    // ==== Streaming mode: step budget over an ExampleStream pipeline
-    // (SOTASTREAM-style; DESIGN.md §14). Examples are pulled and augmented
-    // on the fly by the prefetch producer; validation, checkpoint selection,
-    // and stream-state checkpointing happen every `valid_every` steps. ====
-    stream::ExampleStream& source = *streaming.source;
-    const int64_t max_steps = streaming.max_steps;
-    ROTOM_CHECK_GT(max_steps, 0);
-    const int64_t valid_every =
-        streaming.valid_every > 0
-            ? streaming.valid_every
-            : std::max<int64_t>(
-                  1, (max_steps + std::max<int64_t>(1, options_.epochs) - 1) /
-                         std::max<int64_t>(1, options_.epochs));
-    const uint64_t gen_seed = SplitSeed(options_.seed, kStreamGenSalt);
-    const uint64_t step_salt = SplitSeed(options_.seed, kStreamStepSalt);
-
-    int64_t start_step = 0;
-    if (!streaming.resume_from.empty()) {
-      auto loaded = TrainCheckpoint::Load(streaming.resume_from);
-      ROTOM_CHECK_MSG(loaded.ok(), loaded.status().message().c_str());
-      const TrainCheckpoint& ckpt = loaded.value();
-      model_->LoadStateDict(ckpt.tensors(), "model.");
-      filtering_->LoadStateDict(ckpt.tensors(), "filter.");
-      weighting_->LoadStateDict(ckpt.tensors(), "weight.");
-      auto require_int = [&](const char* key) {
-        auto v = ckpt.GetInt(key);
-        ROTOM_CHECK_MSG(v.ok(), key);
-        return v.value();
-      };
-      auto load_opt = [&](nn::Adam& opt, const std::string& prefix) {
-        auto s = opt.LoadStateTensors(ckpt.tensors(), prefix,
-                                      require_int((prefix + "step").c_str()));
-        ROTOM_CHECK_MSG(s.ok(), s.message().c_str());
-      };
-      load_opt(opt_model, "opt_model.");
-      load_opt(opt_filter, "opt_filter.");
-      load_opt(opt_weight, "opt_weight.");
-      best_state.clear();
-      for (const auto& [name, tensor] : ckpt.tensors()) {
-        if (name.rfind("best.", 0) == 0) {
-          best_state.emplace_back(name.substr(5), tensor.Clone());
-        }
-      }
-      auto best = ckpt.GetDouble("best_metric");
-      ROTOM_CHECK(best.ok());
-      best_metric = best.value();
-      valid_cursor = static_cast<size_t>(require_int("valid_cursor"));
-      auto baseline = ckpt.GetDouble("reward_baseline");
-      ROTOM_CHECK(baseline.ok());
-      reward_baseline = baseline.value();
-      baseline_ready = require_int("baseline_ready") != 0;
-      result.epochs_run = require_int("epochs_run");
-      start_step = require_int("step");
-      auto stream_scalar = ckpt.GetScalar("stream");
-      ROTOM_CHECK(stream_scalar.ok());
-      auto target = stream::StreamState::Parse(stream_scalar.value());
-      ROTOM_CHECK_MSG(target.ok(), target.status().message().c_str());
-      Status replayed = stream::RestoreByReplay(source, target.value());
-      ROTOM_CHECK_MSG(replayed.ok(), replayed.message().c_str());
-    }
-    ROTOM_CHECK_LE(start_step, max_steps);
-
-    // Originals pulled per batch so that originals + augmented candidates
-    // fill roughly batch_size tuples, matching the epoch loop's density.
-    const int64_t tuples_per_pull =
-        options_.augments_per_example + (options_.include_original ? 1 : 0);
-    const int64_t pulls_per_batch = std::max<int64_t>(
-        1, options_.batch_size / std::max<int64_t>(1, tuples_per_pull));
-
-    // Capture the resume-point cursors BEFORE the prefetcher exists: its
-    // producer thread starts pulling immediately and owns the stream from
-    // then on.
-    stream::StreamState consumed_state = stream::CaptureState(source);
-
-    auto produce = [&](size_t) -> ProducedBatch {
-      // Runs on the prefetch thread: pull originals, generate candidates
-      // on the fly (per-draw split seeds — SOTASTREAM's per-worker
-      // augmentation), encode, and snapshot the stream cursors.
-      ROTOM_TRACE_SPAN("stream.batch");
-      ProducedBatch out;
-      std::vector<Candidate> tuples;
-      for (int64_t j = 0; j < pulls_per_batch; ++j) {
-        const uint64_t draw_index = static_cast<uint64_t>(source.draws());
-        auto example = source.Next();
-        if (!example.ok()) {
-          out.error = example.status().message();
-          return out;
-        }
-        Rng ex_rng(SplitSeed(gen_seed, draw_index));
-        auto augs = candidates(example.value().text, ex_rng);
-        if (static_cast<int64_t>(augs.size()) > options_.augments_per_example)
-          augs.resize(options_.augments_per_example);
-        if (options_.include_original) {
-          tuples.push_back({example.value().text, example.value().text,
-                            "original", example.value().label, true});
-        }
-        for (auto& aug : augs) {
-          tuples.push_back({example.value().text, std::move(aug.text),
-                            std::move(aug.op), example.value().label, false});
-        }
-      }
-      out.batch = AssembleStreamBatch(tuples, 0, tuples.size(), *cache);
-      out.state = stream::CaptureState(source);
-      return out;
-    };
-    Prefetcher<ProducedBatch> prefetcher(
-        produce, static_cast<size_t>(max_steps - start_step),
-        options_.pipeline.prefetch, options_.pipeline.prefetch_depth);
-
+  parts.end_round = [&] {
+    last_keep_fraction_ = total_count > 0
+                              ? static_cast<double>(kept_count) /
+                                    static_cast<double>(total_count)
+                              : 1.0;
     kept_count = 0;
     total_count = 0;
-    int64_t global_step = start_step;
-    model_->SetTraining(true);
-
-    for (;;) {
-      WallTimer wait_timer;
-      auto next = prefetcher.Next();
-      obs::GetHistogram("stream.stall_us")
-          .Record(static_cast<uint64_t>(wait_timer.Seconds() * 1e6));
-      if (!next) break;
-      ProducedBatch produced = std::move(*next);
-      ROTOM_CHECK_MSG(produced.error.empty(), produced.error.c_str());
-      const int64_t round = global_step / valid_every;
-      // Independent per-step randomness: a resumed run re-derives the same
-      // stream for step k that the uninterrupted run used.
-      step_index = global_step;
-      Rng step_rng(SplitSeed(step_salt, static_cast<uint64_t>(global_step)));
-      run_step(std::move(produced.batch), step_rng, round);
-      consumed_state = std::move(produced.state);
-      ++global_step;
-
-      if (global_step % valid_every == 0 || global_step == max_steps) {
-        const int64_t round_done = (global_step - 1) / valid_every;
-        last_keep_fraction_ =
-            total_count > 0
-                ? static_cast<double>(kept_count) /
-                      static_cast<double>(total_count)
-                : 1.0;
-        const double valid_metric =
-            eval::EvaluateModel(*model_, ds.valid, metric_, cache.get());
-        if (runlog)
-          runlog->LogEpoch(round_done, valid_metric, last_keep_fraction_);
-        if (valid_metric > best_metric) {
-          best_metric = valid_metric;
-          best_state = model_->StateDict();
-        }
-        ++result.epochs_run;
-        kept_count = 0;
-        total_count = 0;
-        if (runlog) {
-          runlog->LogStreamState(global_step, round_done,
-                                 consumed_state.Serialize());
-        }
-        if (!streaming.checkpoint_path.empty()) {
-          TrainCheckpoint ckpt;
-          ckpt.SetInt("step", global_step);
-          ckpt.SetInt("valid_cursor", static_cast<int64_t>(valid_cursor));
-          ckpt.SetDouble("reward_baseline", reward_baseline);
-          ckpt.SetInt("baseline_ready", baseline_ready ? 1 : 0);
-          ckpt.SetDouble("best_metric", best_metric);
-          ckpt.SetInt("epochs_run", result.epochs_run);
-          ckpt.SetInt("opt_model.step", opt_model.step_count());
-          ckpt.SetInt("opt_filter.step", opt_filter.step_count());
-          ckpt.SetInt("opt_weight.step", opt_weight.step_count());
-          ckpt.SetScalar("stream", consumed_state.Serialize());
-          auto& tensors = ckpt.tensors();
-          for (auto& [name, t] : model_->StateDict("model."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : filtering_->StateDict("filter."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : weighting_->StateDict("weight."))
-            tensors.emplace_back(name, std::move(t));
-          for (const auto& [name, t] : best_state)
-            tensors.emplace_back("best." + name, t.Clone());
-          for (auto& [name, t] : opt_model.StateTensors("opt_model."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : opt_filter.StateTensors("opt_filter."))
-            tensors.emplace_back(name, std::move(t));
-          for (auto& [name, t] : opt_weight.StateTensors("opt_weight."))
-            tensors.emplace_back(name, std::move(t));
-          auto saved = ckpt.Save(streaming.checkpoint_path);
-          ROTOM_CHECK_MSG(saved.ok(), saved.message().c_str());
-          obs::GetCounter("stream.checkpoint.writes").Add();
-        }
-        model_->SetTraining(true);
-      }
+    return last_keep_fraction_;
+  };
+  parts.save = [&](TrainCheckpoint* ckpt) {
+    ckpt->SetInt("valid_cursor", static_cast<int64_t>(valid_cursor));
+    ckpt->SetDouble("reward_baseline", reward_baseline);
+    ckpt->SetInt("baseline_ready", baseline_ready ? 1 : 0);
+    SaveModule(*filtering_, "filter.", ckpt);
+    SaveModule(*weighting_, "weight.", ckpt);
+    SaveAdam(opt_model, "opt_model.", ckpt);
+    SaveAdam(opt_filter, "opt_filter.", ckpt);
+    SaveAdam(opt_weight, "opt_weight.", ckpt);
+  };
+  parts.restore = [&](const TrainCheckpoint& ckpt) -> Status {
+    auto cursor = ckpt.GetInt("valid_cursor");
+    auto baseline = ckpt.GetDouble("reward_baseline");
+    auto ready = ckpt.GetInt("baseline_ready");
+    for (const Status* s : {&cursor.status(), &baseline.status(),
+                            &ready.status()}) {
+      if (!s->ok()) return *s;
     }
-  }
-
-  model_->LoadStateDict(best_state);
-  model_->SetTraining(false);
-  result.best_valid_metric = best_metric;
-  result.seconds = timer.Seconds();
-  if (runlog) result.runlog_path = runlog->path();
-  return result;
+    if (cursor.value() < 0)
+      return Status::Error("checkpoint valid_cursor is negative");
+    Status s = RestoreAdam(ckpt, "opt_model.", &opt_model);
+    if (s.ok()) s = RestoreAdam(ckpt, "opt_filter.", &opt_filter);
+    if (s.ok()) s = RestoreAdam(ckpt, "opt_weight.", &opt_weight);
+    if (s.ok()) s = RestoreModule(ckpt, "filter.", filtering_.get());
+    if (s.ok()) s = RestoreModule(ckpt, "weight.", weighting_.get());
+    if (!s.ok()) return s;
+    valid_cursor = static_cast<size_t>(cursor.value());
+    reward_baseline = baseline.value();
+    baseline_ready = ready.value() != 0;
+    return Status::Ok();
+  };
+  return loop.Run(parts);
 }
 
 }  // namespace core

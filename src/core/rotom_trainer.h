@@ -71,8 +71,10 @@ struct RotomOptions {
 /// Produces augmented candidate texts for one original text (simple DA ops,
 /// InvDA samples, or a mix — the trainer is agnostic; paper Section 4 trains
 /// on the union of all operators' outputs). Candidate generation runs on
-/// compute-pool workers (each call gets its own Rng stream split from the
-/// epoch seed), so generators must be safe to call concurrently: read-only
+/// the training loop's prefetch thread (core/train_loop.h), one call per
+/// pulled example with its own Rng stream keyed by the source draw; with
+/// use_ssl the step also calls it on the calling thread for unlabeled
+/// texts. Generators must therefore be safe to call concurrently: read-only
 /// access to captured state, or synchronized mutation.
 using CandidateGenerator =
     std::function<std::vector<std::string>(const std::string&, Rng&)>;
@@ -116,7 +118,7 @@ class RotomTrainer {
   const WeightingModel& weighting_model() const { return *weighting_; }
 
   /// Fraction of augmented examples the filter kept, averaged over the last
-  /// epoch (diagnostic).
+  /// validation round (diagnostic).
   double last_keep_fraction() const { return last_keep_fraction_; }
 
  private:

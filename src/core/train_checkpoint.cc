@@ -27,9 +27,16 @@ void WriteString(std::ofstream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-bool ReadString(std::ifstream& in, std::string* s) {
+// Bytes left to read in `in`; length fields are checked against it so a
+// corrupted count fails cleanly instead of allocating wildly.
+uint64_t Remaining(std::ifstream& in, uint64_t file_size) {
+  const std::streamoff pos = in.tellg();
+  return pos < 0 ? 0 : file_size - static_cast<uint64_t>(pos);
+}
+
+bool ReadString(std::ifstream& in, uint64_t file_size, std::string* s) {
   uint64_t len = 0;
-  if (!ReadPod(in, &len)) return false;
+  if (!ReadPod(in, &len) || len > Remaining(in, file_size)) return false;
   s->assign(len, '\0');
   in.read(s->data(), static_cast<std::streamsize>(len));
   return static_cast<bool>(in);
@@ -122,8 +129,10 @@ Status TrainCheckpoint::Save(const std::string& path) const {
 }
 
 StatusOr<TrainCheckpoint> TrainCheckpoint::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::Error("cannot open " + path);
+  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[sizeof(kMagic)];
   in.read(magic, sizeof(magic));
   if (!in || std::string(magic, sizeof(magic)) !=
@@ -135,26 +144,41 @@ StatusOr<TrainCheckpoint> TrainCheckpoint::Load(const std::string& path) {
   if (!ReadPod(in, &num_scalars)) return Status::Error("truncated header");
   for (uint64_t i = 0; i < num_scalars; ++i) {
     std::string key, value;
-    if (!ReadString(in, &key) || !ReadString(in, &value)) {
+    if (!ReadString(in, file_size, &key) ||
+        !ReadString(in, file_size, &value)) {
       return Status::Error("truncated scalar in " + path);
     }
     ckpt.scalars_.emplace_back(std::move(key), std::move(value));
   }
   uint64_t num_tensors = 0;
   if (!ReadPod(in, &num_tensors)) return Status::Error("truncated header");
-  ckpt.tensors_.reserve(num_tensors);
   for (uint64_t i = 0; i < num_tensors; ++i) {
     std::string name;
-    if (!ReadString(in, &name)) return Status::Error("truncated tensor name");
+    if (!ReadString(in, file_size, &name))
+      return Status::Error("truncated tensor name in " + path);
     uint64_t ndim = 0;
-    if (!ReadPod(in, &ndim)) return Status::Error("truncated rank");
+    if (!ReadPod(in, &ndim) || ndim > 8)
+      return Status::Error("bad tensor rank in " + path);
     std::vector<int64_t> shape(ndim);
-    for (auto& d : shape)
-      if (!ReadPod(in, &d)) return Status::Error("truncated shape");
+    uint64_t numel = 1;
+    for (auto& d : shape) {
+      if (!ReadPod(in, &d) || d < 0)
+        return Status::Error("bad tensor shape in " + path);
+      // Every element is 4 bytes on disk: a count past the remaining bytes
+      // is corruption, caught before allocating (and before overflowing).
+      const uint64_t limit = Remaining(in, file_size) / sizeof(float);
+      if (numel != 0 && static_cast<uint64_t>(d) > limit / numel)
+        return Status::Error("truncated tensor data in " + path);
+      numel *= static_cast<uint64_t>(d);
+    }
     Tensor t(shape);
     in.read(reinterpret_cast<char*>(t.data()),
             static_cast<std::streamsize>(sizeof(float) * t.size()));
     if (!in) return Status::Error("truncated tensor data in " + path);
+    // A repeated name would let a shape check and a later load read
+    // different entries.
+    if (ckpt.FindTensor(name) != nullptr)
+      return Status::Error("duplicate tensor '" + name + "' in " + path);
     ckpt.tensors_.emplace_back(std::move(name), std::move(t));
   }
   return ckpt;

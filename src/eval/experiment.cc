@@ -349,6 +349,10 @@ ExperimentResult TaskContext::RunOnDataset(
       break;
     }
   }
+  if (!train.status.ok()) {
+    result.status = train.status;
+    return result;
+  }
   result.valid_metric = train.best_valid_metric;
   result.train_seconds = train.seconds;
   result.train_steps = train.steps;

@@ -60,13 +60,15 @@ struct ExperimentOptions {
   bool use_filtering = true;
 };
 
-/// Result of one (dataset, method, seed) run.
+/// Result of one (dataset, method, seed) run. `status` carries the
+/// trainer's error (core::TrainResult::status); the numbers are then unset.
 struct ExperimentResult {
   double test_metric = 0.0;   // % accuracy (TextCLS) or F1 (EM/EDT)
   double valid_metric = 0.0;
   double train_seconds = 0.0; // fine-tuning wall time (paper Figure 4)
   int64_t train_steps = 0;    // optimizer steps taken by the trainer
   double steps_per_sec = 0.0; // train_steps / train_seconds (Figure 4 bench)
+  Status status;
 };
 
 /// Per-dataset context caching the expensive shared pieces across methods:

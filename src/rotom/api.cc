@@ -45,25 +45,10 @@ Status ValidateDataset(const data::TaskDataset& dataset, bool streaming) {
 }  // namespace
 
 StatusOr<TrainReport> Train(const TrainSpec& spec) {
-  // Resolve the data input: the new `source` spec, or the deprecated
-  // in-memory `dataset` field treated as DataSource::Inline. A dataset with
-  // any populated split counts as "set" so e.g. an accidentally empty train
-  // split still reports "train is empty" rather than "no data source".
-  const bool has_legacy =
-      !spec.dataset.train.empty() || !spec.dataset.valid.empty() ||
-      !spec.dataset.test.empty() || !spec.dataset.unlabeled.empty();
-  const bool has_source = spec.source.kind != data::DataSource::Kind::kNone;
-  if (has_legacy && has_source) {
-    return Status::Error(
-        "TrainSpec: set either `source` or the deprecated `dataset`, not "
-        "both");
-  }
-  if (!has_legacy && !has_source) {
+  if (spec.source.kind == data::DataSource::Kind::kNone) {
     return Status::Error("TrainSpec: no data source (set TrainSpec.source)");
   }
-
-  auto opened = data::OpenSource(
-      has_source ? spec.source : data::DataSource::Inline(spec.dataset));
+  auto opened = data::OpenSource(spec.source);
   if (!opened.ok()) return opened.status();
 
   const bool streaming = opened.value().stream != nullptr;
@@ -91,6 +76,7 @@ StatusOr<TrainReport> Train(const TrainSpec& spec) {
   std::unique_ptr<models::TransformerClassifier> model;
   TrainReport report;
   report.metrics = context.Run(spec.method, spec.seed, &model);
+  if (!report.metrics.status.ok()) return report.metrics.status;
   ROTOM_CHECK(model != nullptr);
   report.snapshot = serve::Snapshot::FromModel(*model, context.idf());
   return report;

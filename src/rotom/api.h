@@ -22,7 +22,7 @@ namespace api {
 // The stable user-facing surface of the library, covering the whole
 // train -> export -> serve lifecycle in three types:
 //
-//   TrainSpec spec{.dataset = my_task};
+//   TrainSpec spec{.source = data::DataSource::Inline(my_task)};
 //   auto report = api::Train(spec);                    // meta-learned DA loop
 //   report.value().snapshot.Save("model.rsnap");       // single-file export
 //   auto session = api::InferenceSession::Open("model.rsnap");
@@ -72,16 +72,13 @@ using serve::TensorQuantReport;
 /// Data comes in through `source` (data/source.h) — an in-memory dataset
 /// (DataSource::Inline), a CSV file or weighted mixture of files
 /// (DataSource::File / ::Mixture), or a step-budgeted streaming pipeline
-/// (DataSource::Stream / ::StreamOf, DESIGN.md §14). A Stream source makes
-/// Train run the streaming trainer loop: `stream.max_steps` optimizer steps
-/// pulled from the pipeline, validation/checkpointing every
-/// `stream.valid_every` steps, resumable via `stream.resume_from`.
+/// (DataSource::Stream / ::StreamOf, DESIGN.md §14). A Stream source runs
+/// `stream.max_steps` optimizer steps pulled from the pipeline, with
+/// validation/checkpointing every `stream.valid_every` steps, resumable via
+/// `stream.resume_from`; any other source trains `options.epochs` passes
+/// over the train split (checkpoint/resume via
+/// `options.pipeline.streaming`).
 struct TrainSpec {
-  /// DEPRECATED back-compat shim: equivalent to source =
-  /// DataSource::Inline(dataset). Setting both this and `source` is an
-  /// error. Migrate to `source`; see the deprecation note in DESIGN.md §14.
-  data::TaskDataset dataset;
-
   data::DataSource source;
   eval::Method method = eval::Method::kRotom;
   eval::ExperimentOptions options;
@@ -99,12 +96,13 @@ struct TrainReport {
 /// Validates the spec, trains one model end to end (vocabulary + IDF build,
 /// masked-LM pre-training, the selected method's fine-tuning loop), and
 /// packages the result. Returns an error Status for unusable specs — unset
-/// or doubly-set data source, unreadable path, empty mixture, non-positive
-/// mixture weight, a stream without a step budget, empty train set, fewer
-/// than two classes, labels outside [0, num_classes) — instead of
-/// CHECK-aborting deep in the trainer. An empty valid set falls back to
-/// validating on train (the paper's labeling-budget-saving setup for
-/// EM/EDT).
+/// data source, unreadable path, empty mixture, non-positive mixture
+/// weight, a stream without a step budget, empty train set, fewer than two
+/// classes, labels outside [0, num_classes) — and for a `resume_from`
+/// checkpoint that is missing, truncated or corrupted, written by another
+/// trainer, or taken from a drifted stream spec, instead of CHECK-aborting
+/// deep in the trainer. An empty valid set falls back to validating on
+/// train (the paper's labeling-budget-saving setup for EM/EDT).
 StatusOr<TrainReport> Train(const TrainSpec& spec);
 
 }  // namespace api

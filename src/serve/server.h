@@ -26,9 +26,10 @@ namespace serve {
 /// `max_batch` and runs a single fused forward per batch, delivering each
 /// result through the future returned at submit time. Batching amortizes the
 /// per-forward fixed costs (graph-free op dispatch, kernel launches, softmax)
-/// across requests — under a multi-client closed loop this is several times
-/// the throughput of serial single-request inference (tools/rotom_serve_bench
-/// measures it; BENCH_serve.json records it).
+/// across requests — under a multi-client closed loop the f32 baseline
+/// measures 1.12x the throughput of serial single-request inference
+/// (`speedup_vs_serial` in bench/baseline/BENCH_serve.json, recorded by
+/// tools/rotom_serve_bench).
 ///
 /// Coalescing policy: a batch is closed as soon as either `max_batch`
 /// requests are waiting, or the *oldest* waiting request has been queued for

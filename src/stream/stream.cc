@@ -103,15 +103,29 @@ Status RestoreByReplay(ExampleStream& root, const StreamState& target) {
 }
 
 VectorSource::VectorSource(std::string name,
-                           std::vector<data::Example> examples)
-    : name_(std::move(name)), examples_(std::move(examples)) {
+                           std::vector<data::Example> examples,
+                           std::optional<uint64_t> shuffle_seed)
+    : name_(std::move(name)),
+      examples_(std::move(examples)),
+      shuffle_seed_(shuffle_seed) {
   ROTOM_CHECK_MSG(!examples_.empty(), name_.c_str());
 }
 
 StatusOr<data::Example> VectorSource::Next() {
-  const data::Example& example =
-      examples_[static_cast<size_t>(draws_ % static_cast<int64_t>(
-                                                 examples_.size()))];
+  const int64_t n = static_cast<int64_t>(examples_.size());
+  size_t index = static_cast<size_t>(draws_ % n);
+  if (shuffle_seed_) {
+    const int64_t pass = draws_ / n;
+    if (pass != order_pass_) {
+      order_.resize(examples_.size());
+      for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+      Rng rng(SplitSeed(*shuffle_seed_, static_cast<uint64_t>(pass)));
+      rng.Shuffle(order_);
+      order_pass_ = pass;
+    }
+    index = order_[index];
+  }
+  const data::Example& example = examples_[index];
   ++draws_;
   obs::GetCounter("stream.examples").Add();
   obs::GetCounter("stream.source." + name_ + ".draws").Add();

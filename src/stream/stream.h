@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,12 +95,17 @@ StreamState CaptureState(const ExampleStream& root);
 /// than silently resuming a different stream.
 Status RestoreByReplay(ExampleStream& root, const StreamState& target);
 
-/// Wraps an in-memory example vector as an endless stream: examples are
-/// yielded in order and wrap around. The degenerate-but-useful source for
-/// mixtures of a file stream with an in-memory dataset, and for tests.
+/// Wraps an in-memory example vector as an endless stream that wraps
+/// around. Without `shuffle_seed` examples are yielded in order — the
+/// source for mixtures of a file stream with an in-memory dataset, and for
+/// tests. With it, pass p (draws [p*n, (p+1)*n)) is a permutation drawn
+/// from Rng(SplitSeed(*shuffle_seed, p)): every example exactly once per
+/// pass, in an order that is still a pure function of the draw counter —
+/// the epochs of core::TrainLoop.
 class VectorSource : public ExampleStream {
  public:
-  VectorSource(std::string name, std::vector<data::Example> examples);
+  VectorSource(std::string name, std::vector<data::Example> examples,
+               std::optional<uint64_t> shuffle_seed = std::nullopt);
 
   StatusOr<data::Example> Next() override;
   int64_t draws() const override { return draws_; }
@@ -111,6 +117,9 @@ class VectorSource : public ExampleStream {
  private:
   std::string name_;
   std::vector<data::Example> examples_;
+  std::optional<uint64_t> shuffle_seed_;
+  std::vector<size_t> order_;  // permutation of the current pass
+  int64_t order_pass_ = -1;
   int64_t draws_ = 0;
 };
 

@@ -34,7 +34,8 @@ api::TrainSpec ParitySpec() {
   ds_options.seed = 7;
 
   api::TrainSpec spec;
-  spec.dataset = data::MakeEmDataset("dblp_acm", ds_options);
+  spec.source =
+      data::DataSource::Inline(data::MakeEmDataset("dblp_acm", ds_options));
   spec.method = eval::Method::kBaseline;  // fastest trainer; serving is the DUT
   spec.options.classifier.max_len = 40;
   spec.options.classifier.dim = 32;
@@ -82,8 +83,9 @@ TEST(QuantParityTest, Int8F1WithinHalfPointOfFloatOnDblpAcm) {
   ASSERT_FALSE(float_session.value()->quantized());
   ASSERT_TRUE(int8_session.value()->quantized());
 
-  const double f32_f1 = SessionF1(*float_session.value(), spec.dataset.test);
-  const double int8_f1 = SessionF1(*int8_session.value(), spec.dataset.test);
+  const auto& test = spec.source.dataset.test;
+  const double f32_f1 = SessionF1(*float_session.value(), test);
+  const double int8_f1 = SessionF1(*int8_session.value(), test);
 
   std::printf("dblp_acm smoke F1: float %.2f, int8 %.2f, delta %.3f\n", f32_f1,
               int8_f1, std::abs(f32_f1 - int8_f1));

@@ -616,9 +616,10 @@ eval::ExperimentOptions TinyApiOptions() {
 }
 
 TEST(ApiTest, TrainRejectsEmptyTrainSet) {
+  data::TaskDataset ds = TinyApiDataset();
+  ds.train.clear();
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
-  spec.dataset.train.clear();
+  spec.source = data::DataSource::Inline(ds);
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("train is empty"),
@@ -627,9 +628,10 @@ TEST(ApiTest, TrainRejectsEmptyTrainSet) {
 }
 
 TEST(ApiTest, TrainRejectsDegenerateClassCount) {
+  data::TaskDataset ds = TinyApiDataset();
+  ds.num_classes = 1;
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
-  spec.dataset.num_classes = 1;
+  spec.source = data::DataSource::Inline(ds);
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("num_classes"), std::string::npos)
@@ -637,9 +639,10 @@ TEST(ApiTest, TrainRejectsDegenerateClassCount) {
 }
 
 TEST(ApiTest, TrainRejectsOutOfRangeLabels) {
+  data::TaskDataset ds = TinyApiDataset();
+  ds.train[3].label = ds.num_classes + 5;
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
-  spec.dataset.train[3].label = spec.dataset.num_classes + 5;
+  spec.source = data::DataSource::Inline(ds);
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("label"), std::string::npos)
@@ -650,8 +653,9 @@ TEST(ApiTest, TrainRejectsOutOfRangeLabels) {
 // InferenceSession::Open -> PredictBatch, with the session serving the
 // training-time logits bit for bit.
 TEST(ApiTest, TrainExportServeLifecycle) {
+  const data::TaskDataset ds = TinyApiDataset();
   api::TrainSpec spec;
-  spec.dataset = TinyApiDataset();
+  spec.source = data::DataSource::Inline(ds);
   spec.method = eval::Method::kBaseline;  // fastest method; facade is the DUT
   spec.options = TinyApiOptions();
   spec.seed = 5;
@@ -669,8 +673,8 @@ TEST(ApiTest, TrainExportServeLifecycle) {
   ASSERT_TRUE(opened.ok()) << opened.status().message();
 
   std::vector<std::string> queries;
-  for (size_t i = 0; i < 5 && i < spec.dataset.test.size(); ++i)
-    queries.push_back(spec.dataset.test[i].text);
+  for (size_t i = 0; i < 5 && i < ds.test.size(); ++i)
+    queries.push_back(ds.test[i].text);
   const Tensor a = direct.value()->Logits(queries);
   const Tensor b = opened.value()->Logits(queries);
   ASSERT_EQ(a.shape(), b.shape());
@@ -680,9 +684,9 @@ TEST(ApiTest, TrainExportServeLifecycle) {
   ASSERT_EQ(predictions.size(), queries.size());
   for (const auto& p : predictions) {
     EXPECT_GE(p.label, 0);
-    EXPECT_LT(p.label, spec.dataset.num_classes);
+    EXPECT_LT(p.label, ds.num_classes);
     EXPECT_EQ(p.probs.size(),
-              static_cast<size_t>(spec.dataset.num_classes));
+              static_cast<size_t>(ds.num_classes));
   }
   std::remove(path.c_str());
 }

@@ -7,8 +7,10 @@
 // uninterrupted loss trajectory float-for-float. scripts/check.sh
 // additionally runs this binary under TSan at several pool sizes.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 
 #include "core/finetune.h"
 #include "core/rotom_trainer.h"
+#include "core/train_checkpoint.h"
 #include "data/loader.h"
 #include "data/source.h"
 #include "rotom/api.h"
@@ -147,6 +150,33 @@ TEST(VectorSourceTest, WrapsAroundForever) {
     EXPECT_EQ(e.value().text, PosExamples()[i % n].text);
   }
   EXPECT_EQ(source.draws(), static_cast<int64_t>(2 * n + 3));
+}
+
+TEST(VectorSourceTest, ShuffledPassesArePermutations) {
+  const auto examples = PosExamples();
+  const size_t n = examples.size();
+  std::vector<std::string> sorted;
+  for (const auto& e : examples) sorted.push_back(e.text);
+  std::sort(sorted.begin(), sorted.end());
+
+  stream::VectorSource a("v", examples, /*shuffle_seed=*/3);
+  stream::VectorSource b("v", examples, /*shuffle_seed=*/3);
+  std::vector<std::vector<std::string>> passes(4);
+  for (auto& pass : passes) {
+    for (size_t i = 0; i < n; ++i) {
+      auto ea = a.Next();
+      auto eb = b.Next();
+      ASSERT_TRUE(ea.ok());
+      ASSERT_TRUE(eb.ok());
+      ASSERT_EQ(ea.value().text, eb.value().text);  // keyed by seed + pass
+      pass.push_back(ea.value().text);
+    }
+    std::vector<std::string> seen = pass;
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, sorted);  // every example exactly once per pass
+  }
+  EXPECT_TRUE(passes[0] != passes[1] || passes[1] != passes[2] ||
+              passes[2] != passes[3]);  // each pass reshuffles
 }
 
 TEST(CsvFileSourceTest, MatchesMaterializedLoaderAndWraps) {
@@ -585,16 +615,226 @@ TEST(DataSourceTest, OpensFileStreamWithSharedLabelSpace) {
   }
 }
 
-TEST(ApiTrainSpecTest, RejectsAmbiguousOrMissingSource) {
-  api::TrainSpec both;
-  both.dataset = TinyTask();
-  both.source = data::DataSource::Inline(TinyTask());
-  auto report = api::Train(both);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.status().message().find("not both"), std::string::npos);
-
+TEST(ApiTrainSpecTest, RejectsMissingSource) {
   api::TrainSpec neither;
   EXPECT_FALSE(api::Train(neither).ok());
+}
+
+// ------------------------------------------------- api: bad resume_from --
+
+// The smallest end-to-end configuration that still runs every stage Train
+// runs (pre-training, InvDA for Rotom, the method's training loop).
+api::TrainSpec ResumeSpec(eval::Method method, const std::string& checkpoint,
+                          const std::string& resume) {
+  api::TrainSpec spec;
+  spec.source = data::DataSource::Inline(TinyTask());
+  spec.method = method;
+  spec.seed = 3;
+  eval::ExperimentOptions& options = spec.options;
+  options.classifier.max_len = 12;
+  options.classifier.dim = 16;
+  options.classifier.num_heads = 2;
+  options.classifier.num_layers = 1;
+  options.classifier.ffn_dim = 32;
+  options.seq2seq.max_src_len = 12;
+  options.seq2seq.max_tgt_len = 12;
+  options.seq2seq.dim = 16;
+  options.seq2seq.num_layers = 1;
+  options.seq2seq.ffn_dim = 32;
+  options.invda.epochs = 1;
+  options.invda.max_corpus = 12;
+  options.invda.augments_per_example = 1;
+  options.invda.sampling.max_len = 12;
+  options.pretrain.epochs = 1;
+  options.pretrain.max_corpus = 12;
+  options.epochs = 2;
+  options.batch_size = 4;
+  options.pipeline.streaming.checkpoint_path = checkpoint;
+  options.pipeline.streaming.resume_from = resume;
+  return spec;
+}
+
+// Train must return an error naming resume_from and `cause`.
+void ExpectResumeError(const api::TrainSpec& spec, const char* cause) {
+  auto report = api::Train(spec);
+  ASSERT_FALSE(report.ok()) << cause;
+  const std::string& message = report.status().message();
+  EXPECT_NE(message.find("resume_from"), std::string::npos) << message;
+  EXPECT_NE(message.find(cause), std::string::npos) << message;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// An epoch-mode Finetune checkpoint written through the facade.
+std::string FinetuneCheckpoint(const char* name) {
+  const std::string path = TempPath(name);
+  auto report = api::Train(ResumeSpec(eval::Method::kBaseline, path, ""));
+  EXPECT_TRUE(report.ok()) << report.status().message();
+  return path;
+}
+
+TEST(ApiResumeTest, MissingCheckpointIsAnError) {
+  ExpectResumeError(
+      ResumeSpec(eval::Method::kBaseline, "", TempPath("no_such.ckpt")),
+      "cannot open");
+}
+
+TEST(ApiResumeTest, TruncatedOrCorruptedCheckpointIsAnError) {
+  const std::string bytes = ReadBytes(FinetuneCheckpoint("intact.ckpt"));
+  ASSERT_GT(bytes.size(), 64u);
+  // The intact file resumes (at its recorded step, which ends the run).
+  auto intact = api::Train(
+      ResumeSpec(eval::Method::kBaseline, "", TempPath("intact.ckpt")));
+  EXPECT_TRUE(intact.ok()) << intact.status().message();
+
+  const std::string bad = TempPath("bad.ckpt");
+  auto expect_rejected = [&](const std::string& content, const char* cause) {
+    WriteFile(bad, content);
+    ExpectResumeError(ResumeSpec(eval::Method::kBaseline, "", bad), cause);
+  };
+  expect_rejected(bytes.substr(0, bytes.size() / 2), "truncated");
+  expect_rejected(bytes.substr(0, bytes.size() - 1), "truncated tensor data");
+  std::string bad_magic = bytes;
+  bad_magic[0] = 'X';
+  expect_rejected(bad_magic, "bad checkpoint magic");
+  // The first scalar key's length field (right after magic + count),
+  // blown up past the file size.
+  std::string bad_length = bytes;
+  bad_length[6 + 8 + 7] = '\x7f';
+  expect_rejected(bad_length, "truncated scalar");
+
+  // Every truncation point fails to load cleanly, never aborting.
+  for (size_t cut = 0; cut < bytes.size(); cut += 1 + bytes.size() / 97) {
+    WriteFile(bad, bytes.substr(0, cut));
+    EXPECT_FALSE(core::TrainCheckpoint::Load(bad).ok()) << "cut at " << cut;
+  }
+}
+
+TEST(ApiResumeTest, FinetuneCheckpointInRotomRunIsAnError) {
+  const std::string finetune = FinetuneCheckpoint("finetune_for_rotom.ckpt");
+  // Rotom's extra state (M_F/M_W, their Adam moments, the meta-step
+  // scalars) is absent.
+  ExpectResumeError(ResumeSpec(eval::Method::kRotom, "", finetune),
+                    "not found");
+}
+
+TEST(ApiResumeTest, DriftedStreamSpecIsAnError) {
+  data::DataSource::StreamSpec stream_spec;
+  stream_spec.max_steps = 6;
+  stream_spec.valid_every = 3;
+  stream_spec.shuffle_capacity = 8;
+  stream_spec.checkpoint_path = TempPath("drift.ckpt");
+  api::TrainSpec spec = ResumeSpec(eval::Method::kBaseline, "", "");
+  spec.source = data::DataSource::StreamOf(TinyTask(), stream_spec);
+  auto written = api::Train(spec);
+  ASSERT_TRUE(written.ok()) << written.status().message();
+
+  // Same checkpoint, a pipeline of a different spec: the replayed stream
+  // cursors cannot line up.
+  stream_spec.checkpoint_path.clear();
+  stream_spec.resume_from = TempPath("drift.ckpt");
+  stream_spec.shuffle_capacity = 3;
+  spec.source = data::DataSource::StreamOf(TinyTask(), stream_spec);
+  ExpectResumeError(spec, "RestoreByReplay");
+
+  // An epoch-mode run over the same data cannot resume a streamed run.
+  ExpectResumeError(
+      ResumeSpec(eval::Method::kBaseline, "", TempPath("drift.ckpt")),
+      "RestoreByReplay");
+}
+
+// -------------------------------------------- trainer: epoch kill/resume --
+
+// An epoch-budgeted run (no stream source): `epochs` passes over the train
+// split, each a fresh permutation, one validation round per pass.
+core::TrainResult RunEpochFinetune(int threads, int64_t epochs,
+                                   const std::string& checkpoint = "",
+                                   const std::string& resume = "") {
+  ThreadGuard guard(threads);
+  Rng rng(7);
+  auto vocab = TaskVocab();
+  models::TransformerClassifier model(TinyConfig(), vocab, rng);
+  core::FinetuneOptions options;
+  options.epochs = epochs;
+  options.batch_size = 4;
+  options.aug_mode = core::AugMode::kReplace;
+  options.seed = 5;
+  options.pipeline.streaming.checkpoint_path = checkpoint;
+  options.pipeline.streaming.resume_from = resume;
+  core::FinetuneTrainer trainer(&model, eval::MetricKind::kAccuracy, options);
+  return trainer.Train(TinyTask(), DuplicateToken);
+}
+
+core::TrainResult RunEpochRotom(int threads, int64_t epochs,
+                                const std::string& checkpoint = "",
+                                const std::string& resume = "") {
+  ThreadGuard guard(threads);
+  Rng rng(11);
+  auto vocab = TaskVocab();
+  models::TransformerClassifier model(TinyConfig(), vocab, rng);
+  core::RotomOptions options;
+  options.epochs = epochs;
+  options.batch_size = 6;
+  options.augments_per_example = 2;
+  options.seed = 5;
+  options.pipeline.streaming.checkpoint_path = checkpoint;
+  options.pipeline.streaming.resume_from = resume;
+  core::RotomTrainer trainer(&model, eval::MetricKind::kAccuracy, options);
+  return trainer.Train(TinyTask(), [](const std::string& s, Rng& r) {
+    return std::vector<std::string>{DuplicateToken(s, r),
+                                    DuplicateToken(s, r)};
+  });
+}
+
+using EpochRun = core::TrainResult (*)(int, int64_t, const std::string&,
+                                       const std::string&);
+
+// Kills a 3-epoch run at the first epoch boundary (a 1-epoch budget writes
+// its checkpoint there) and resumes it under the full budget.
+void ExpectEpochResumeReproducesRun(EpochRun run, const char* name) {
+  const std::string ckpt = TempPath((std::string(name) + "_epoch.ckpt").c_str());
+  const auto reference = run(1, 3, "", "");
+  for (int threads : {1, 4}) {
+    const std::string label = std::string(name) + "/" +
+                              std::to_string(threads) + "t";
+    const auto uninterrupted = run(threads, 3, "", "");
+    ExpectIdentical(reference, uninterrupted, label.c_str());
+    EXPECT_EQ(uninterrupted.epochs_run, 3) << label;
+
+    const auto before = run(threads, 1, ckpt, "");
+    ASSERT_TRUE(before.status.ok()) << before.status.message();
+    ASSERT_EQ(before.epochs_run, 1) << label;
+    const auto after = run(threads, 3, "", ckpt);
+    ASSERT_TRUE(after.status.ok()) << after.status.message();
+    EXPECT_EQ(after.epochs_run, 3) << label;
+
+    std::vector<float> stitched = before.loss_history;
+    stitched.insert(stitched.end(), after.loss_history.begin(),
+                    after.loss_history.end());
+    ASSERT_EQ(stitched.size(), uninterrupted.loss_history.size()) << label;
+    for (size_t i = 0; i < stitched.size(); ++i) {
+      ASSERT_EQ(stitched[i], uninterrupted.loss_history[i])
+          << label << ": resume diverged at step " << i;
+    }
+    EXPECT_EQ(after.best_valid_metric, uninterrupted.best_valid_metric)
+        << label;
+  }
+}
+
+TEST(EpochTrainerTest, FinetuneEpochResumeReproducesUninterruptedRun) {
+  // 12 examples, 4 per step: 3 steps per epoch.
+  EXPECT_EQ(RunEpochFinetune(1, 3).steps, 9);
+  ExpectEpochResumeReproducesRun(RunEpochFinetune, "finetune");
+}
+
+TEST(EpochTrainerTest, RotomEpochResumeReproducesUninterruptedRun) {
+  // 6 tuples per step = 2 examples with 2 candidates and the original
+  // each: 6 steps per epoch.
+  EXPECT_EQ(RunEpochRotom(1, 3).steps, 18);
+  ExpectEpochResumeReproducesRun(RunEpochRotom, "rotom");
 }
 
 }  // namespace
