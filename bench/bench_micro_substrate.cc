@@ -139,6 +139,41 @@ BENCHMARK(BM_KernelGemmABFlavor)
     ->ArgsProduct({{256}, {0, 1}, {1}})
     ->ArgNames({"n", "simd", "threads"});
 
+// Simd-vs-scalar gain of the GELU kernels: simd:0 is kernels::scalar (libm
+// tanh), simd:1 the dispatched kernel (AVX2: the polynomial exp), on one
+// thread; backward:1 times GeluBackward instead of GeluForward.
+void BM_KernelGeluFlavor(benchmark::State& state) {
+  constexpr int64_t kN = 24576;
+  const bool simd = state.range(0) != 0;
+  const bool backward = state.range(1) != 0;
+  SetComputeThreads(1);
+  state.SetLabel(simd ? kernels::SimdFlavorName() : "scalar");
+  Rng rng(9);
+  Tensor x = Tensor::Randn({kN}, rng);
+  Tensor gy = Tensor::Randn({kN}, rng);
+  Tensor out({kN});
+  for (auto _ : state) {
+    if (backward) {
+      if (simd) {
+        kernels::GeluBackward(x.data(), gy.data(), out.data(), kN);
+      } else {
+        kernels::scalar::GeluBackward(x.data(), gy.data(), out.data(), kN);
+      }
+    } else if (simd) {
+      kernels::GeluForward(x.data(), out.data(), kN);
+    } else {
+      kernels::scalar::GeluForward(x.data(), out.data(), kN);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+  SetComputeThreads(0);
+}
+BENCHMARK(BM_KernelGeluFlavor)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"simd", "backward"});
+
 // The exact int8 GEMM underneath QLinear, scalar reference vs dispatched.
 // "flops" counts the same 2*n^3 MACs as the f32 cell above, so the
 // int8-vs-f32 gain is this cell's rate over BM_KernelGemmABFlavor's at the

@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "tensor/kernels.h"
+#include "tensor/variable.h"
 #include "util/check.h"
 
 namespace rotom {
@@ -54,6 +55,7 @@ double EvaluateModel(models::TransformerClassifier& model,
   const bool was_training = model.training();
   model.SetTraining(false);
   Rng rng(0);  // eval forward ignores randomness (no dropout)
+  NoGradGuard no_grad;  // scoring never backpropagates
 
   std::vector<int64_t> predictions;
   std::vector<int64_t> labels;

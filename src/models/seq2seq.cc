@@ -101,6 +101,7 @@ std::vector<std::string> Seq2SeqModel::GenerateBatch(
     for (int64_t t = 0; t < src_len; ++t) src_mask.at({i, t}) = src.mask[t];
   }
   Rng dummy(0);  // generation runs the nets without dropout state
+  NoGradGuard guard;
   Variable memory = encoder_.Forward(src_ids, b, src_len, src_mask, dummy);
   Tensor memory_value = memory.value();
 

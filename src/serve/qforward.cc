@@ -14,16 +14,6 @@ namespace serve {
 
 namespace {
 
-// Same tanh-approximation GELU as ops::Gelu — the quantized path must apply
-// the identical nonlinearity or the parity budget would be spent on an
-// activation mismatch instead of quantization error.
-inline float Gelu(float x) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  constexpr float kCubic = 0.044715f;
-  const float u = kSqrt2OverPi * (x + kCubic * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
-
 constexpr float kLayerNormEps = 1e-5f;  // ops::LayerNorm's default
 
 // Lookup helper over the snapshot's two weight lists.
@@ -302,7 +292,9 @@ Tensor QuantizedClassifier::Logits(const text::EncodedBatch& batch) const {
 
     // x = norm2(h + ffn(h)) with ffn = out(gelu(in(h)))
     layer.ffn_in.Apply(x.data(), hidden.data(), n);
-    kernels::Apply(hidden.data(), n * f, Gelu);
+    // The GELU kernel ops::Gelu runs: the quantized path applies the
+    // identical nonlinearity, so the parity budget goes to quantization.
+    kernels::GeluForward(hidden.data(), hidden.data(), n * f);
     layer.ffn_out.Apply(hidden.data(), proj.data(), n);
     kernels::ZipMap(x.data(), proj.data(), y.data(), n * d,
                     [](float a, float v) { return a + v; });

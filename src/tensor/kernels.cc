@@ -205,10 +205,112 @@ void GemmATBRowRange(const float* a, const float* b, float* c, int64_t l0,
   }
 }
 
-// Max and the final normalization are vectorized; exp stays std::exp (the
-// libm-accurate form both flavors share), and the exp-order sum is scalar,
-// so the only cross-flavor difference in softmax output comes from the
-// 8-lane max (which is exact) — i.e. none.
+// e^v over 8 lanes, the exp behind the AVX2 GELU and softmax. Cody–Waite
+// range reduction v = n·ln2 + r with |r| <= ln2/2, e^r from the Cephes expf
+// polynomial, 2^n built in the exponent field. The argument is clamped to
+// [kExpLo, kExpHi] so that no lane leaves the normal range: below kExpLo
+// the result is exactly 0 (where libm gives a denormal or 0), above kExpHi
+// it saturates at e^87. NaN propagates (max/min return their second operand
+// on NaN, and the compare that zeroes low lanes is false for NaN).
+constexpr float kExpLo = -87.0f;
+constexpr float kExpHi = 87.0f;
+
+inline __m256 Exp(__m256 v) {
+  const __m256 x = _mm256_min_ps(_mm256_set1_ps(kExpHi),
+                                 _mm256_max_ps(_mm256_set1_ps(kExpLo), v));
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23));
+  return _mm256_andnot_ps(
+      _mm256_cmp_ps(v, _mm256_set1_ps(kExpLo), _CMP_LT_OQ),
+      _mm256_mul_ps(p, scale));
+}
+
+// The ragged tail of an elementwise loop as a zero-padded 8-float block, so
+// the tail runs the same vector code as the body: an element's result never
+// depends on where it sits in the buffer.
+struct TailBlock {
+  alignas(32) float v[8] = {};
+  TailBlock(const float* src, int64_t m) { std::copy(src, src + m, v); }
+  __m256 Load() const { return _mm256_load_ps(v); }
+};
+
+// gelu(x) = 0.5·x·(1 + tanh u) = x·σ(2u) = x / (1 + e^(−2u)), where
+// −2u = x·(kNeg2C + kNeg2CA·x²).
+constexpr float kNeg2C = -2.0f * sref::kGeluSqrt2OverPi;
+constexpr float kNeg2CA = kNeg2C * sref::kGeluCubic;
+
+inline __m256 GeluExpNeg2U(__m256 x) {
+  const __m256 x2 = _mm256_mul_ps(x, x);
+  return Exp(_mm256_mul_ps(
+      x, _mm256_fmadd_ps(_mm256_set1_ps(kNeg2CA), x2,
+                         _mm256_set1_ps(kNeg2C))));
+}
+
+inline __m256 Gelu(__m256 x) {
+  return _mm256_div_ps(x, _mm256_add_ps(_mm256_set1_ps(1.0f),
+                                        GeluExpNeg2U(x)));
+}
+
+// gelu'(x) = s + 2x·s(1−s)·u' with s = σ(2u) = 1/(1+e), 1−s = e·s and
+// 2u' = 2c + 6c·0.044715·x², i.e. s·(1 + x·(e·s)·2u').
+inline __m256 GeluGrad(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = GeluExpNeg2U(x);
+  const __m256 s = _mm256_div_ps(one, _mm256_add_ps(one, e));
+  const __m256 two_du = _mm256_fmadd_ps(_mm256_set1_ps(-3.0f * kNeg2CA),
+                                        _mm256_mul_ps(x, x),
+                                        _mm256_set1_ps(-kNeg2C));
+  const __m256 t =
+      _mm256_mul_ps(_mm256_mul_ps(x, _mm256_mul_ps(e, s)), two_du);
+  return _mm256_fmadd_ps(s, t, s);
+}
+
+void GeluRange(const float* x, float* y, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    _mm256_storeu_ps(y + i, Gelu(_mm256_loadu_ps(x + i)));
+  if (i < n) {
+    TailBlock b(x + i, n - i);
+    _mm256_store_ps(b.v, Gelu(b.Load()));
+    std::copy(b.v, b.v + (n - i), y + i);
+  }
+}
+
+void GeluBackwardRange(const float* x, const float* gy, float* gx,
+                       int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(gx + i,
+                     _mm256_fmadd_ps(_mm256_loadu_ps(gy + i),
+                                     GeluGrad(_mm256_loadu_ps(x + i)),
+                                     _mm256_loadu_ps(gx + i)));
+  }
+  if (i < n) {
+    const TailBlock bx(x + i, n - i), bg(gy + i, n - i);
+    TailBlock acc(gx + i, n - i);
+    _mm256_store_ps(acc.v, _mm256_fmadd_ps(bg.Load(), GeluGrad(bx.Load()),
+                                           acc.Load()));
+    std::copy(acc.v, acc.v + (n - i), gx + i);
+  }
+}
+
+// exp(row − max) is the vector Exp above (the scalar flavor keeps libm; the
+// flavors agree within 1e-6). The sum runs 8 lanes folded in a fixed order,
+// then the tail lanes in order; the tail goes through a TailBlock, so a
+// row's result depends only on the row.
 void SoftmaxRow(const float* row, float* orow, int64_t cols) {
   float mx = row[0];
   int64_t j = 1;
@@ -219,10 +321,22 @@ void SoftmaxRow(const float* row, float* orow, int64_t cols) {
     mx = HMax(vmx);
   }
   for (; j < cols; ++j) mx = std::max(mx, row[j]);
-  float sum = 0.0f;
-  for (int64_t jj = 0; jj < cols; ++jj) {
-    orow[jj] = std::exp(row[jj] - mx);
-    sum += orow[jj];
+  const __m256 vmx = _mm256_set1_ps(mx);
+  __m256 vsum = _mm256_setzero_ps();
+  int64_t je = 0;
+  for (; je + 8 <= cols; je += 8) {
+    const __m256 e = Exp(_mm256_sub_ps(_mm256_loadu_ps(row + je), vmx));
+    _mm256_storeu_ps(orow + je, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  float sum = HSum(vsum);
+  if (je < cols) {
+    TailBlock b(row + je, cols - je);
+    _mm256_store_ps(b.v, Exp(_mm256_sub_ps(b.Load(), vmx)));
+    for (int64_t t = 0; t < cols - je; ++t) {
+      orow[je + t] = b.v[t];
+      sum += b.v[t];
+    }
   }
   const __m256 vs = _mm256_set1_ps(sum);
   int64_t jd = 0;
@@ -361,6 +475,10 @@ void GemmATBRowRange(const float* a, const float* b, float* c, int64_t l0,
     }
   }
 }
+
+// GELU keeps libm's tanh on NEON, exactly as the scalar flavor.
+using sref::GeluBackwardRange;
+using sref::GeluRange;
 
 void SoftmaxRow(const float* row, float* orow, int64_t cols) {
   float mx = row[0];
@@ -553,6 +671,23 @@ void Axpy(const float* x, float* y, int64_t n, float alpha) {
                             [&](int64_t begin, int64_t end) {
                               active::AxpyRange(x + begin, y + begin,
                                                 end - begin, alpha);
+                            });
+}
+
+void GeluForward(const float* x, float* y, int64_t n) {
+  ComputePool().ParallelFor(n, kElementwiseGrain,
+                            [&](int64_t begin, int64_t end) {
+                              active::GeluRange(x + begin, y + begin,
+                                                end - begin);
+                            });
+}
+
+void GeluBackward(const float* x, const float* gy, float* gx, int64_t n) {
+  ComputePool().ParallelFor(n, kElementwiseGrain,
+                            [&](int64_t begin, int64_t end) {
+                              active::GeluBackwardRange(
+                                  x + begin, gy + begin, gx + begin,
+                                  end - begin);
                             });
 }
 

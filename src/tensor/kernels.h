@@ -57,9 +57,10 @@ inline int64_t RowGrain(int64_t work_per_row) {
 // holds unchanged — reductions are never split across threads and chunking
 // never changes per-element order, so results stay bit-identical at any
 // thread count. Across flavors, f32 results may differ by FMA/vector-width
-// rounding (the AVX2 dot-product kernels accumulate in 8 lanes); the int8
-// kernels in quant.h are exact integer arithmetic and bit-identical in
-// every flavor.
+// rounding (the AVX2 dot-product kernels accumulate in 8 lanes) and, in
+// GELU and softmax, by the AVX2 polynomial exp standing in for libm (see
+// GeluForward); the int8 kernels in quant.h are exact integer arithmetic
+// and bit-identical in every flavor.
 // ---------------------------------------------------------------------------
 
 /// Compile-time kernel flavor of this build: "avx2", "neon", or "scalar".
@@ -88,6 +89,8 @@ void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float eps, float* y, float* xhat, float* inv_std,
                    int64_t rows, int64_t cols);
 void Axpy(const float* x, float* y, int64_t n, float alpha);
+void GeluForward(const float* x, float* y, int64_t n);
+void GeluBackward(const float* x, const float* gy, float* gx, int64_t n);
 
 }  // namespace scalar
 
@@ -174,6 +177,22 @@ void ZipAccumulate(const float* x, const float* y, float* acc, int64_t n,
 /// y[i] += alpha * x[i].
 void Axpy(const float* x, float* y, int64_t n, float alpha);
 
+/// y[i] = gelu(x[i]), the tanh approximation
+/// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715x³))). y == x is allowed.
+///
+/// The scalar and NEON flavors call libm's tanh. The AVX2 flavor evaluates
+/// x / (1 + e^(−2u)) with a range-reduced polynomial exp over 8 lanes:
+/// within 1e-6 absolute of the exact function on [−12, 12]. Each output
+/// depends only on its own input — the ragged tail runs the same vector
+/// code on a zero-padded block — so a sub-range call, an in-place call or
+/// any thread count gives bit-identical elements. NaN in gives NaN out.
+void GeluForward(const float* x, float* y, int64_t n);
+
+/// gx[i] += gy[i] · gelu'(x[i]), the backward of GeluForward; gx == gy is
+/// allowed. AVX2: within 4e-6 absolute of the exact derivative on
+/// [−12, 12]. Same flavor and position-independence rules as GeluForward.
+void GeluBackward(const float* x, const float* gy, float* gx, int64_t n);
+
 /// Runs fn(row) for every row in [0, rows), parallel when profitable.
 /// `work_per_row` sizes the grain. Rows must be independent.
 template <typename F>
@@ -190,7 +209,10 @@ void ParallelRows(int64_t rows, int64_t work_per_row, F fn) {
 // ops. Backward kernels accumulate (+=) into the gradient buffer.
 // ---------------------------------------------------------------------------
 
-/// out[r,:] = softmax(in[r,:]).
+/// out[r,:] = softmax(in[r,:]); in == out is allowed. The AVX2 flavor takes
+/// exp(in − max) from the GELU polynomial exp (within 1e-6 of the scalar
+/// flavor; an argument below −87, e.g. a −1e9 mask entry, gives exactly 0);
+/// scalar and NEON use libm.
 void SoftmaxRows(const float* in, float* out, int64_t rows, int64_t cols);
 
 /// gx[r,j] += y[r,j] * (gy[r,j] - dot(gy[r,:], y[r,:])).

@@ -51,6 +51,14 @@ void Axpy(const float* x, float* y, int64_t n, float alpha) {
   sref::AxpyRange(x, y, n, alpha);
 }
 
+void GeluForward(const float* x, float* y, int64_t n) {
+  sref::GeluRange(x, y, n);
+}
+
+void GeluBackward(const float* x, const float* gy, float* gx, int64_t n) {
+  sref::GeluBackwardRange(x, gy, gx, n);
+}
+
 }  // namespace scalar
 }  // namespace kernels
 }  // namespace rotom

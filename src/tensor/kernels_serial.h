@@ -133,6 +133,33 @@ inline void GemmATBRowRange(const float* a, const float* b, float* c,
   }
 }
 
+// Tanh-approximation GELU, 0.5·x·(1 + tanh u) with
+// u = √(2/π)·(x + 0.044715x³), through libm's tanh. The AVX2 flavor
+// evaluates the same function as x / (1 + e^(−2u)) with a polynomial exp
+// (kernels.cc).
+inline constexpr float kGeluSqrt2OverPi = 0.7978845608028654f;
+inline constexpr float kGeluCubic = 0.044715f;
+
+inline void GeluRange(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float xv = x[i];
+    const float u = kGeluSqrt2OverPi * (xv + kGeluCubic * xv * xv * xv);
+    y[i] = 0.5f * xv * (1.0f + std::tanh(u));
+  }
+}
+
+// gx[i] += gy[i] · gelu'(x[i]).
+inline void GeluBackwardRange(const float* x, const float* gy, float* gx,
+                              int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float xv = x[i];
+    const float u = kGeluSqrt2OverPi * (xv + kGeluCubic * xv * xv * xv);
+    const float t = std::tanh(u);
+    const float du = kGeluSqrt2OverPi * (1.0f + 3.0f * kGeluCubic * xv * xv);
+    gx[i] += gy[i] * (0.5f * (1.0f + t) + 0.5f * xv * (1.0f - t * t) * du);
+  }
+}
+
 inline void SoftmaxRow(const float* row, float* orow, int64_t cols) {
   float mx = row[0];
   for (int64_t j = 1; j < cols; ++j) mx = std::max(mx, row[j]);

@@ -378,26 +378,15 @@ Variable Abs(const Variable& a) {
 }
 
 Variable Gelu(const Variable& a) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  constexpr float kCubic = 0.044715f;
   const int64_t num = a.value().size();
   Tensor out(a.value().shape());
-  kernels::Map(a.value().data(), out.data(), num, [](float x) {
-    const float u = kSqrt2OverPi * (x + kCubic * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(u));
-  });
+  kernels::GeluForward(a.value().data(), out.data(), num);
   ImplPtr pa = a.impl();
   Tensor av = a.value();
   return MakeNode(std::move(out), {pa}, [pa, av, num](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    kernels::ZipAccumulate(
-        n.grad.data(), av.data(), pa->MutableGrad().data(), num,
-        [](float g, float x) {
-          const float u = kSqrt2OverPi * (x + kCubic * x * x * x);
-          const float t = std::tanh(u);
-          const float du = kSqrt2OverPi * (1.0f + 3.0f * kCubic * x * x);
-          return g * (0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du);
-        });
+    kernels::GeluBackward(av.data(), n.grad.data(), pa->MutableGrad().data(),
+                          num);
   });
 }
 

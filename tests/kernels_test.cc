@@ -1,9 +1,12 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -252,6 +255,163 @@ TEST_F(KernelsTest, MapApplyZipAxpy) {
 }
 
 // ---------------------------------------------------------------------------
+// GELU and the softmax exp. The AVX2 flavor evaluates both through a
+// polynomial exp; these tests pin its accuracy against a double-precision
+// reference and the rule that an element's result depends only on its own
+// inputs (never on its offset, the call's length, aliasing or threads).
+// ---------------------------------------------------------------------------
+
+double RefGelu(double x) {
+  const double u = 0.7978845608028654 * (x + 0.044715 * x * x * x);
+  return 0.5 * x * (1.0 + std::tanh(u));
+}
+
+double RefGeluGrad(double x) {
+  const double u = 0.7978845608028654 * (x + 0.044715 * x * x * x);
+  const double t = std::tanh(u);
+  const double du = 0.7978845608028654 * (1.0 + 3.0 * 0.044715 * x * x);
+  return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
+}
+
+// Values spanning both saturated ends of GELU and its curved middle.
+std::vector<float> GeluInputs(int64_t n, uint64_t seed) {
+  auto x = RandVec(n, seed);
+  for (auto& v : x) v *= 4.0f;
+  return x;
+}
+
+TEST_F(KernelsTest, GeluAccurateOnDenseSweep) {
+  constexpr int64_t kN = 240001;  // [-12, 12] in steps of 1e-4
+  std::vector<float> x(kN);
+  for (int64_t i = 0; i < kN; ++i)
+    x[i] = -12.0f + 24.0f * static_cast<float>(i) / (kN - 1);
+  std::vector<float> y(kN), ones(kN, 1.0f), gx(kN, 0.0f);
+  kernels::GeluForward(x.data(), y.data(), kN);
+  kernels::GeluBackward(x.data(), ones.data(), gx.data(), kN);
+  double fwd_err = 0.0, bwd_err = 0.0;
+  for (int64_t i = 0; i < kN; ++i) {
+    fwd_err = std::max(fwd_err, std::fabs(y[i] - RefGelu(x[i])));
+    bwd_err = std::max(bwd_err, std::fabs(gx[i] - RefGeluGrad(x[i])));
+  }
+  EXPECT_LE(fwd_err, 1e-6);
+  EXPECT_LE(bwd_err, 4e-6);
+}
+
+TEST_F(KernelsTest, SoftmaxWithMaskEntriesMatchesScalar) {
+  constexpr int64_t kRows = 40, kCols = 29;
+  auto x = RandVec(kRows * kCols, 25);
+  for (int64_t i = 0; i < kRows * kCols; ++i)
+    x[i] = i % 5 == 2 ? -1e9f : 6.0f * x[i];  // -1e9: attention's key mask
+  std::vector<float> y(kRows * kCols), ref(kRows * kCols);
+  kernels::SoftmaxRows(x.data(), y.data(), kRows, kCols);
+  kernels::scalar::SoftmaxRows(x.data(), ref.data(), kRows, kCols);
+  for (int64_t i = 0; i < kRows * kCols; ++i) {
+    ASSERT_NEAR(y[i], ref[i], 1e-6f) << "at " << i;
+    if (x[i] == -1e9f) {
+      ASSERT_EQ(y[i], 0.0f) << "masked entry " << i;
+    }
+  }
+}
+
+// For every offset 0-7 and length 1-17, a call on a sub-range (and an
+// in-place call) must reproduce the full-buffer call's elements bit for
+// bit: the ragged tail runs the same vector code as the body.
+TEST_F(KernelsTest, GeluAndSoftmaxArePositionIndependent) {
+  constexpr int64_t kBuf = 8 + 17;
+  const auto x = GeluInputs(kBuf, 26), gy = RandVec(kBuf, 27);
+  const auto gx0 = RandVec(kBuf, 28);
+
+  std::vector<float> y_full(kBuf), gx_full = gx0, g_inplace_full = gy;
+  kernels::GeluForward(x.data(), y_full.data(), kBuf);
+  kernels::GeluBackward(x.data(), gy.data(), gx_full.data(), kBuf);
+  kernels::GeluBackward(x.data(), g_inplace_full.data(),
+                        g_inplace_full.data(), kBuf);
+
+  for (int64_t off = 0; off < 8; ++off) {
+    for (int64_t len = 1; len <= 17; ++len) {
+      const std::string at =
+          "offset " + std::to_string(off) + " length " + std::to_string(len);
+      std::vector<float> y(kBuf, 0.0f), y_inplace = x, gx = gx0,
+                                        g_inplace = gy;
+      kernels::GeluForward(x.data() + off, y.data() + off, len);
+      kernels::GeluForward(y_inplace.data() + off, y_inplace.data() + off,
+                           len);
+      kernels::GeluBackward(x.data() + off, gy.data() + off, gx.data() + off,
+                            len);
+      kernels::GeluBackward(x.data() + off, g_inplace.data() + off,
+                            g_inplace.data() + off, len);
+      for (int64_t i = off; i < off + len; ++i) {
+        ASSERT_EQ(y[i], y_full[i]) << at << " element " << i;
+        ASSERT_EQ(y_inplace[i], y_full[i]) << at << " element " << i;
+        ASSERT_EQ(gx[i], gx_full[i]) << at << " element " << i;
+        ASSERT_EQ(g_inplace[i], g_inplace_full[i]) << at << " element " << i;
+      }
+
+      // Softmax rows of `len` columns: three rows at offset 0 are the
+      // reference; the same rows at `off`, in place, and a call on the last
+      // two rows alone must all agree with it.
+      constexpr int64_t kRows = 3;
+      const auto rows = GeluInputs(kRows * len, 29 + len);
+      std::vector<float> soft_ref(kRows * len);
+      kernels::SoftmaxRows(rows.data(), soft_ref.data(), kRows, len);
+      std::vector<float> in(off + kRows * len, 0.0f);
+      std::copy(rows.begin(), rows.end(), in.begin() + off);
+      std::vector<float> out(in.size(), 0.0f), tail_rows(in.size(), 0.0f),
+          inplace = in;
+      kernels::SoftmaxRows(in.data() + off, out.data() + off, kRows, len);
+      kernels::SoftmaxRows(in.data() + off + len, tail_rows.data() + off + len,
+                           kRows - 1, len);
+      kernels::SoftmaxRows(inplace.data() + off, inplace.data() + off, kRows,
+                           len);
+      for (int64_t i = 0; i < kRows * len; ++i) {
+        ASSERT_EQ(out[off + i], soft_ref[i]) << at << " softmax " << i;
+        ASSERT_EQ(inplace[off + i], soft_ref[i]) << at << " softmax " << i;
+        if (i >= len) {
+          ASSERT_EQ(tail_rows[off + i], soft_ref[i]) << at << " softmax " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, GeluBitIdenticalAcrossThreadCounts) {
+  constexpr int64_t kN = 3 * kernels::kElementwiseGrain + 5;
+  const auto x = GeluInputs(kN, 30), gy = RandVec(kN, 31);
+  auto run = [&](int threads) {
+    SetComputeThreads(threads);
+    std::vector<float> y(kN), gx(kN, 0.5f);
+    kernels::GeluForward(x.data(), y.data(), kN);
+    kernels::GeluBackward(x.data(), gy.data(), gx.data(), kN);
+    return std::make_pair(y, gx);
+  };
+  const auto serial = run(1);
+  const auto quad = run(4);
+  for (int64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(serial.first[i], quad.first[i]) << "forward element " << i;
+    ASSERT_EQ(serial.second[i], quad.second[i]) << "backward element " << i;
+  }
+}
+
+// The run log's non-finite-loss sentinel relies on NaN surviving the
+// nonlinearities.
+TEST_F(KernelsTest, GeluAndSoftmaxPropagateNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> x = {0.5f, nan, -3.0f, 2.0f, nan, 1.0f, -0.25f, 4.0f,
+                          nan, 7.0f, -9.0f};
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<float> y(n), ones(n, 1.0f), gx(n, 0.0f);
+  kernels::GeluForward(x.data(), y.data(), n);
+  kernels::GeluBackward(x.data(), ones.data(), gx.data(), n);
+  for (int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::isnan(y[i]), std::isnan(x[i])) << i;
+    EXPECT_EQ(std::isnan(gx[i]), std::isnan(x[i])) << i;
+  }
+  std::vector<float> probs(n);
+  kernels::SoftmaxRows(x.data(), probs.data(), 1, n);
+  for (int64_t i = 0; i < n; ++i) EXPECT_TRUE(std::isnan(probs[i])) << i;
+}
+
+// ---------------------------------------------------------------------------
 // SIMD flavor equivalence. The dispatched kernels (whatever flavor this
 // binary was built with) are compared against the serial scalar references
 // in kernels::scalar across a sweep of shapes chosen to hit every ragged
@@ -317,6 +477,22 @@ TEST_P(KernelFlavorTest, RowKernelsMatchScalarReference) {
   kernels::Axpy(x.data(), axpy.data(), rows * cols, -1.5f);
   kernels::scalar::Axpy(x.data(), axpy_ref.data(), rows * cols, -1.5f);
   ExpectAllNear(axpy, axpy_ref, 1e-6f);
+}
+
+TEST_P(KernelFlavorTest, GeluMatchesScalarReference) {
+  const auto [m, k, n] = GetParam();
+  const int64_t num = m * k + n;  // 2 to 2656 elements
+  const auto x = GeluInputs(num, 39), gy = RandVec(num, 40);
+
+  std::vector<float> y(num), y_ref(num);
+  kernels::GeluForward(x.data(), y.data(), num);
+  kernels::scalar::GeluForward(x.data(), y_ref.data(), num);
+  ExpectAllNear(y, y_ref, 1e-6f);
+
+  std::vector<float> gx(num, 0.25f), gx_ref(num, 0.25f);
+  kernels::GeluBackward(x.data(), gy.data(), gx.data(), num);
+  kernels::scalar::GeluBackward(x.data(), gy.data(), gx_ref.data(), num);
+  ExpectAllNear(gx, gx_ref, 4e-6f);
 }
 
 TEST_P(KernelFlavorTest, QGemmABTBitIdenticalToScalar) {

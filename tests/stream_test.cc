@@ -107,8 +107,16 @@ std::shared_ptr<stream::ExampleStream> MixOfTwoStream(uint64_t seed = 21) {
                                                  /*capacity=*/8, seed + 1);
 }
 
+// A temp file private to the running TEST: ctest runs every test case as
+// its own process, so two cases that named the same file would race.
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  std::string prefix;
+  if (const auto* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    prefix = std::string(info->test_suite_name()) + "." + info->name() + ".";
+    std::replace(prefix.begin(), prefix.end(), '/', '_');
+  }
+  return std::string(::testing::TempDir()) + "/" + prefix + name;
 }
 
 void WriteFile(const std::string& path, const std::string& content) {
