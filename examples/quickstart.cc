@@ -5,11 +5,10 @@
 //   2. api::Train — vocabulary, masked-LM pre-training, InvDA, and the
 //      meta-learned filtering+weighting loop, in one call,
 //   3. Snapshot::Save — a single-file export of the fine-tuned model,
-//   4. InferenceSession::Open — load it back, read-only,
-//   5. BatchingServer — answer queries with micro-batched forwards,
-//   6. ModelRegistry + TenantServer — publish the snapshot as a named,
-//      versioned model, then quantize it to int8 and hot-swap the new
-//      version in while the server keeps answering.
+//   4. ModelRegistry::Publish — load it back as version 1 of a named model,
+//   5. TenantServer — answer queries with micro-batched forwards,
+//   6. quantize the snapshot to int8 and hot-swap the new version in while
+//      the server keeps answering.
 //
 // Run:  ./example_quickstart
 
@@ -77,20 +76,24 @@ int main() {
   }
   std::printf("saved snapshot to %s\n", path.c_str());
 
-  // 4-5. Load it back read-only and serve through the micro-batching front
-  // end. A real deployment points many client threads at `server`; each
-  // Submit() returns a future and the worker fuses waiting requests into one
-  // forward.
-  auto session = api::InferenceSession::Open(path);
-  if (!session.ok()) {
-    std::fprintf(stderr, "open failed: %s\n", session.status().message().c_str());
+  // 4-5. Load it back and serve it. The registry holds named, versioned
+  // models: Publish(path) mmaps the file (no staging copy) as version 1 of
+  // "quickstart", and the first version of a name goes live at once. A
+  // one-model deployment is a one-tenant server; a real one points many
+  // client threads at `server`, each Submit() returns a future, and the
+  // worker fuses waiting requests into one forward.
+  api::ModelRegistry registry;
+  auto v1 = registry.Publish("quickstart", path);
+  if (!v1.ok()) {
+    std::fprintf(stderr, "publish failed: %s\n",
+                 v1.status().message().c_str());
     return 1;
   }
-  api::BatchingServer server(session.value().get());
+  api::TenantServer server(&registry, {"quickstart"});
   int correct = 0;
   const size_t shown = 3;
   for (size_t i = 0; i < dataset.test.size(); ++i) {
-    auto prediction = server.Predict(dataset.test[i].text);
+    auto prediction = server.Predict("quickstart", dataset.test[i].text);
     if (!prediction.ok()) continue;
     correct += prediction.value().label == dataset.test[i].label;
     if (i < shown) {
@@ -104,25 +107,15 @@ int main() {
   std::printf("served %zu queries, accuracy %.2f%%\n", dataset.test.size(),
               100.0 * correct / static_cast<double>(dataset.test.size()));
 
-  // 6. The registry tier (DESIGN.md §13): the same snapshot file published
-  // as version 1 of a named model — Publish(path) mmaps it, no staging
-  // copy — then quantized to int8 (DESIGN.md §12) and published as version
-  // 2. Swap redirects new batches to v2 without disturbing batches already
-  // running on v1; Retire then drops the store's reference to v1.
-  api::ModelRegistry registry;
-  auto v1 = registry.Publish("quickstart", path);
-  if (!v1.ok()) {
-    std::fprintf(stderr, "publish failed: %s\n",
-                 v1.status().message().c_str());
-    return 1;
-  }
-  api::TenantServer tenants(&registry, {"quickstart"});
-  auto before = tenants.Predict("quickstart", dataset.test[0].text);
-
+  // 6. Roll a new version under live traffic (DESIGN.md §13): quantize the
+  // model to int8 (DESIGN.md §12) and publish it as version 2. Swap
+  // redirects new batches to v2 without disturbing batches already running
+  // on v1; Retire then drops the store's reference to v1.
+  auto before = server.Predict("quickstart", dataset.test[0].text);
   auto quantized = api::QuantizeSnapshot(report.value().snapshot);
   auto v2 = registry.Publish("quickstart", quantized.value());
   registry.Swap("quickstart", v2.value());      // hot swap: f32 -> int8
-  auto after = tenants.Predict("quickstart", dataset.test[0].text);
+  auto after = server.Predict("quickstart", dataset.test[0].text);
   registry.Retire("quickstart", v1.value());
   std::printf(
       "registry: served v%llu then hot-swapped to v%llu (int8); "
@@ -131,7 +124,7 @@ int main() {
       static_cast<unsigned long long>(v2.value()),
       static_cast<long long>(before.value().label),
       static_cast<long long>(after.value().label));
-  tenants.Shutdown();
+  server.Shutdown();
 
   std::printf(
       "\nRotom combines simple DA operators with InvDA and learns to filter\n"

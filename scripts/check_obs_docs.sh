@@ -13,17 +13,18 @@
 # src/serve/tenant_server.cc, and the gate extracts the literal suffixes
 # and requires each to be documented as serve.tenant.<tenant>.<suffix>.
 # In the other direction, every `span.<name>.us` row of the span catalog
-# table must name a span something still emits, so a removed span cannot
-# leave a dead row behind.
+# table must name a span something still emits, and every counter, gauge
+# or histogram row of the metric catalog must name an instrument something
+# still emits, so a removed span or metric cannot leave a dead row behind.
 #
 # Usage:
 #   scripts/check_obs_docs.sh             # gate OBSERVABILITY.md
 #   scripts/check_obs_docs.sh --selftest  # prove the gate actually fails:
 #       copies the doc, strips a registry.* metric line, a serve.tenant.*
 #       suffix line, a serve-log field line, and the /metrics endpoint
-#       lines, injects a span row nothing emits, and asserts the gate
-#       rejects each mutilated copy while passing the intact one. Wired into ctest as
-#       tools_obs_docs_selftest.
+#       lines, injects a span row and metric rows nothing emits, and
+#       asserts the gate rejects each mutilated copy while passing the
+#       intact one. Wired into ctest as tools_obs_docs_selftest.
 #
 # ROTOM_OBS_DOC overrides the documentation path (used by --selftest).
 
@@ -77,6 +78,20 @@ if [[ "${1:-}" == "--selftest" ]]; then
     exit 1
   fi
 
+  # One dead row per naming form: a literal name, a per-tenant suffix, and
+  # a name built around another placeholder.
+  for row in 'selftest.dead' 'serve.tenant.<tenant>.selftest_dead' \
+             'stream.source.<name>.selftest_dead'; do
+    echo "selftest: metric row for $row, which nothing emits, must fail"
+    { cat OBSERVABILITY.md
+      echo "| \`$row\` | counter | events | never | — |"
+    } > "$tmp/dead_metric.md"
+    if ROTOM_OBS_DOC="$tmp/dead_metric.md" "$0" >/dev/null 2>&1; then
+      echo "selftest FAILED: dead $row row was not flagged" >&2
+      exit 1
+    fi
+  done
+
   echo "check_obs_docs.sh selftest OK"
   exit 0
 fi
@@ -100,22 +115,50 @@ require() {
 # ---- Emitted metric names: Get{Counter,Gauge,Histogram}("...") ----
 # Comment lines are dropped so doc-comment examples are not treated as
 # emitting sites.
+metric_names="$(grep -rh 'Get\(Counter\|Gauge\|Histogram\)("' src bench tools \
+                  | grep -vE '^[[:space:]]*(//|\*)' \
+                  | grep -oE 'Get(Counter|Gauge|Histogram)\("[^"]+"\)' \
+                  | sed -E 's/.*\("([^"]+)"\).*/\1/' | sort -u)"
 while IFS= read -r name; do
   require "$name" "metric"
-done < <(grep -rh 'Get\(Counter\|Gauge\|Histogram\)("' src bench tools \
-           | grep -vE '^[[:space:]]*(//|\*)' \
-           | grep -oE 'Get(Counter|Gauge|Histogram)\("[^"]+"\)' \
-           | sed -E 's/.*\("([^"]+)"\).*/\1/' | sort -u)
+done <<< "$metric_names"
 
 # ---- Per-tenant metric suffixes: Tenant{Counter,Gauge,Histogram}(tenant,
 # "<suffix>") call sites in the serve layer, documented with the <tenant>
 # placeholder since the full name is only known at runtime. ----
+tenant_suffixes="$(grep -rh 'Tenant\(Counter\|Gauge\|Histogram\)(' src bench tools \
+                     | grep -vE '^[[:space:]]*(//|\*)' \
+                     | grep -oE 'Tenant(Counter|Gauge|Histogram)\([^)"]*"[^"]+"\)' \
+                     | sed -E 's/.*"([^"]+)"\).*/\1/' | sort -u)"
 while IFS= read -r suffix; do
   require "serve.tenant.<tenant>.${suffix}" "per-tenant metric"
-done < <(grep -rh 'Tenant\(Counter\|Gauge\|Histogram\)(' src bench tools \
-           | grep -vE '^[[:space:]]*(//|\*)' \
-           | grep -oE 'Tenant(Counter|Gauge|Histogram)\([^)"]*"[^"]+"\)' \
-           | sed -E 's/.*"([^"]+)"\).*/\1/' | sort -u)
+done <<< "$tenant_suffixes"
+
+# ---- Dead metric rows: every counter/gauge/histogram row of the metric
+# catalog must name an instrument something emits. A literal name must
+# match a Get*("...") site above; serve.tenant.<tenant>.<suffix> must match
+# a Tenant* helper suffix; any other <placeholder> row must match a Get*(
+# call built from the same literal prefix and suffix (the
+# stream.source.<name>.draws row matches
+# GetCounter("stream.source." + name_ + ".draws")). ----
+built_metrics="$(grep -rh 'Get\(Counter\|Gauge\|Histogram\)(' src bench tools \
+                   | grep -vE '^[[:space:]]*(//|\*)' \
+                   | grep -oE 'Get(Counter|Gauge|Histogram)\((std::string\()?"[^"]*"\)? \+ [^"+]+ \+ "[^"]*"\)' \
+                   | sed -E 's/^[^"]*"([^"]*)"[^"]*"([^"]*)"\)$/\1<>\2/' \
+                   | sort -u)"
+while IFS= read -r name; do
+  if [[ "$name" == "serve.tenant.<tenant>."* ]]; then
+    grep -qxF "${name#serve.tenant.<tenant>.}" <<< "$tenant_suffixes" && continue
+  elif [[ "$name" == *"<"*">"* ]]; then
+    grep -qxF "${name%%<*}<>${name##*>}" <<< "$built_metrics" && continue
+  elif grep -qxF "$name" <<< "$metric_names"; then
+    continue
+  fi
+  echo "check_obs_docs: metric row '$name' in $doc names an instrument" \
+       "nothing emits (Get{Counter,Gauge,Histogram} / Tenant* helpers)" >&2
+  missing=1
+done < <(grep -oE '^\| `[^`]+` \| (counter|gauge|histogram) \|' "$doc" \
+           | sed -E 's/^\| `([^`]+)`.*/\1/' | sort -u)
 
 # ---- Span names: ROTOM_TRACE_SPAN("...") documented as span.<name>.us ----
 trace_spans="$(grep -rh 'ROTOM_TRACE_SPAN("' src bench tools \

@@ -124,8 +124,6 @@ void ServeLog::LogManifest(const ServeManifest& manifest) {
   line.Add("sample", sample_);
   if (!manifest.server.empty())
     line.Add("server", std::string_view(manifest.server));
-  if (!manifest.precision.empty())
-    line.Add("precision", std::string_view(manifest.precision));
   if (manifest.tenants >= 0) line.Add("tenants", manifest.tenants);
   if (manifest.max_batch >= 0) line.Add("max_batch", manifest.max_batch);
   if (manifest.max_delay_us >= 0)
@@ -146,7 +144,7 @@ void ServeLog::LogRequest(uint64_t id, std::string_view tenant,
                           int64_t label) {
   ServeLogLine line("request");
   line.Add("id", static_cast<int64_t>(id));
-  if (!tenant.empty()) line.Add("tenant", tenant);
+  line.Add("tenant", tenant);
   line.Add("queue_us", queue_us);
   line.Add("compute_us", compute_us);
   line.Add("total_us", total_us);

@@ -2,8 +2,8 @@
 #define ROTOM_OBS_SERVELOG_H_
 
 // Flight recorder for the serving path: a crash-safe append-only JSONL
-// stream carrying one `manifest` record (server shape, precision, SIMD
-// flavor) followed by sampled per-request lifecycle records and the
+// stream carrying one `manifest` record (server shape, SIMD flavor)
+// followed by sampled per-request lifecycle records and the
 // irregular events that explain a latency trace after the fact — model
 // `swap`s, admission-control `shed`s, and per-tenant SLO `window` rollups.
 // The metrics registry answers "what are the rates right now"; the serve
@@ -55,11 +55,9 @@ struct ServeLogOptions {
 };
 
 /// The serving-shape fields of the `manifest` event. Negative integers and
-/// empty strings mean "not applicable for this server kind" and the field
-/// is omitted (e.g. BatchingServer has no tenants or SLO policy).
+/// empty strings mean "not set" and the field is omitted.
 struct ServeManifest {
-  std::string server;          // "batching" | "tenant"
-  std::string precision;       // "int8" | "f32" (session->quantized())
+  std::string server;          // "tenant" (serve::TenantServer)
   int64_t tenants = -1;
   int64_t max_batch = -1;
   int64_t max_delay_us = -1;
@@ -97,7 +95,7 @@ class ServeLog {
 
   /// Appends one sampled `request` lifecycle event: the queue/compute/total
   /// latency decomposition, the batch the request rode in, and the label it
-  /// was answered with. Empty `tenant` (BatchingServer) omits the field.
+  /// was answered with, under the tenant that submitted it.
   void LogRequest(uint64_t id, std::string_view tenant, int64_t queue_us,
                   int64_t compute_us, int64_t total_us, int64_t batch_size,
                   int64_t label);

@@ -23,9 +23,9 @@
 //   baselines/ DeepMatcher-, Raha-, Hu et al.- and Kumar et al.-style
 //             comparators
 //   eval/     metrics and the TaskContext experiment runner
-//   serve/    model snapshots + micro-batching inference (Snapshot,
-//             InferenceSession, BatchingServer) and the multi-tenant
-//             registry tier (ModelRegistry, TenantServer)
+//   serve/    model snapshots + inference (Snapshot, InferenceSession),
+//             the versioned model store (ModelRegistry) and the one
+//             micro-batching server over it (TenantServer)
 //   rotom/    the rotom::api facade (TrainSpec -> Train -> Snapshot)
 //
 // Quickstart: see examples/quickstart.cc.
@@ -61,7 +61,6 @@
 #include "nn/transformer.h"
 #include "rotom/api.h"
 #include "serve/registry.h"
-#include "serve/server.h"
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/tenant_server.h"

@@ -10,7 +10,6 @@
 #include "obs/servelog.h"
 #include "serve/obs_http.h"
 #include "serve/registry.h"
-#include "serve/server.h"
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "serve/tenant_server.h"
@@ -20,20 +19,20 @@ namespace rotom {
 namespace api {
 
 // The stable user-facing surface of the library, covering the whole
-// train -> export -> serve lifecycle in three types:
+// train -> export -> serve lifecycle (ARCHITECTURE.md walks the full
+// request path):
 //
 //   TrainSpec spec{.source = data::DataSource::Inline(my_task)};
 //   auto report = api::Train(spec);                    // meta-learned DA loop
 //   report.value().snapshot.Save("model.rsnap");       // single-file export
-//   auto session = api::InferenceSession::Open("model.rsnap");
-//   api::BatchingServer server(session.value().get()); // micro-batching
-//
-// and, for multi-model deployments, the registry-backed lifecycle
-// (ARCHITECTURE.md walks the full request path):
-//
 //   api::ModelRegistry registry;
 //   auto v1 = registry.Publish("matcher", "model.rsnap");   // mmap load
-//   api::TenantServer server(&registry, {"matcher"});
+//   api::TenantServer server(&registry, {"matcher"});       // micro-batching
+//   auto answer = server.Predict("matcher", "some record text");
+//
+// One model is a one-tenant server; more models are more names in the same
+// registry and server. Versions of a name roll under live traffic:
+//
 //   auto v2 = registry.Publish("matcher", "model_int8.rsnap");
 //   registry.Swap("matcher", v2.value());   // hot-swap under live traffic
 //   registry.Retire("matcher", v1.value()); // drains when last pin drops
@@ -48,13 +47,12 @@ namespace api {
 /// InferenceSession::Options::precision selects the forward-pass numerics.
 /// ModelRegistry (Publish/Swap/Retire/Acquire, DESIGN.md §13) owns named
 /// versioned models; TenantServer batches per-tenant traffic over it.
-/// Serving observability is part of the surface too: ObsHttpOptions on a
+/// Serving observability is part of the surface too: ObsHttpOptions on the
 /// server's Options starts the live /metrics listener (ObsHttpServer,
 /// serve/obs_http.h) and ServeLog (obs/servelog.h) is the serve flight
-/// recorder both servers and the registry write through.
+/// recorder the server and the registry write through.
 using obs::ServeLog;
 using obs::ServeLogOptions;
-using serve::BatchingServer;
 using serve::InferenceSession;
 using serve::ModelRegistry;
 using serve::ObsHttpOptions;

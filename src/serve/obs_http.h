@@ -3,8 +3,8 @@
 
 // Dependency-free observability listener for the serving stack: a tiny
 // blocking HTTP/1.1 server (plain POSIX sockets, one thread, no external
-// libraries) that answers live scrapes while a BatchingServer/TenantServer
-// runs. Endpoints (GET only):
+// libraries) that answers live scrapes while a TenantServer runs.
+// Endpoints (GET only):
 //
 //   /metrics    obs::PrometheusText() — the Prometheus text exposition of
 //               every registered instrument (OBSERVABILITY.md "Scrape
@@ -23,10 +23,9 @@
 // Lifecycle: Start() binds (port 0 = kernel-assigned ephemeral port, read
 // it back from port()), spawns the serve thread, and returns; Stop() (or
 // the destructor) flips an atomic flag that the poll()-based accept loop
-// observes within ~50ms and joins the thread. BatchingServer/TenantServer
-// start one automatically when their Options carry an enabled
-// ObsHttpOptions, so a bench or production binary gets live scrapes with
-// two lines of config.
+// observes within ~50ms and joins the thread. TenantServer starts one
+// automatically when its Options carry an enabled ObsHttpOptions, so a
+// bench or production binary gets live scrapes with two lines of config.
 
 #include <atomic>
 #include <memory>
@@ -37,8 +36,8 @@
 namespace rotom {
 namespace serve {
 
-/// Listener knob carried by BatchingServer::Options / TenantServer::Options
-/// (and usable standalone). `port` 0 picks a free ephemeral port.
+/// Listener knob carried by TenantServer::Options (and usable
+/// standalone). `port` 0 picks a free ephemeral port.
 struct ObsHttpOptions {
   bool enabled = false;
   int port = 0;

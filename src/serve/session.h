@@ -41,8 +41,9 @@ struct Prediction {
 ///
 /// This is the terminal consumer of the encoded-batch path: raw text is
 /// encoded exactly once (cache hit afterwards) and the model only ever sees
-/// text::EncodedBatch. For request coalescing across client threads, put a
-/// BatchingServer (serve/server.h) in front.
+/// text::EncodedBatch. For request coalescing across client threads,
+/// publish the snapshot into a ModelRegistry and put a TenantServer
+/// (serve/tenant_server.h) in front.
 class InferenceSession {
  public:
   /// Numeric mode of the forward pass (DESIGN.md §12).

@@ -30,8 +30,34 @@ obs::Histogram& TenantHistogram(const std::string& tenant,
   return obs::GetHistogram("serve.tenant." + tenant + "." + suffix);
 }
 
-// Global queue/compute decomposition, shared with BatchingServer (same
-// metric names; the registry hands back the same instruments).
+// Server-wide instruments, summed over tenants: the one-number view of the
+// serving path (and the inputs of the derived serve.reject_rate and
+// serve.queue_wait_share in BENCH files) whatever the tenant names are.
+obs::Counter& RequestCounter() {
+  static obs::Counter& c = obs::GetCounter("serve.requests");
+  return c;
+}
+
+obs::Counter& RejectedCounter() {
+  static obs::Counter& c = obs::GetCounter("serve.rejected");
+  return c;
+}
+
+obs::Counter& BatchCounter() {
+  static obs::Counter& c = obs::GetCounter("serve.batches");
+  return c;
+}
+
+obs::Histogram& BatchSizeHistogram() {
+  static obs::Histogram& h = obs::GetHistogram("serve.batch_size");
+  return h;
+}
+
+obs::Histogram& LatencyHistogram() {
+  static obs::Histogram& h = obs::GetHistogram("serve.latency_us");
+  return h;
+}
+
 obs::Histogram& QueueWaitHistogram() {
   static obs::Histogram& h = obs::GetHistogram("serve.queue_wait_us");
   return h;
@@ -135,6 +161,7 @@ std::future<StatusOr<Prediction>> TenantServer::Submit(
       // than blocking the caller (which could be serving other tenants).
       ++t.rejected;
       t.rejected_counter->Add();
+      RejectedCounter().Add();
       if (!shutdown_ && servelog_ != nullptr) {
         servelog_->LogShed(t.name, static_cast<int64_t>(t.queue.size()));
       }
@@ -149,6 +176,7 @@ std::future<StatusOr<Prediction>> TenantServer::Submit(
                               ++next_request_id_});
     ++t.requests;
     t.requests_counter->Add();
+    RequestCounter().Add();
     t.queue_depth_gauge->Set(static_cast<int64_t>(t.queue.size()));
   }
   queue_cv_.notify_one();
@@ -282,7 +310,6 @@ void TenantServer::WorkerLoop() {
         batch.push_back(std::move(tenant->queue.front()));
         tenant->queue.pop_front();
       }
-      ++tenant->batches;
       shed_snapshot = tenant->rejected;  // for the SLO window's shed column
       tenant->queue_depth_gauge->Set(
           static_cast<int64_t>(tenant->queue.size()));
@@ -313,16 +340,22 @@ void TenantServer::WorkerLoop() {
       ROTOM_TRACE_SPAN("serve.tenant.batch");
       predictions = session->PredictBatch(texts);
     }
-    tenant->batches_counter->Add();
-
     const auto done = std::chrono::steady_clock::now();
     const int64_t compute_us = ElapsedUs(claimed, done);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++tenant->batches;
+    }
+    tenant->batches_counter->Add();
+    BatchCounter().Add();
+    BatchSizeHistogram().Record(batch.size());
     ComputeHistogram().Record(static_cast<uint64_t>(compute_us));
     for (size_t i = 0; i < batch.size(); ++i) {
       const int64_t queue_us = ElapsedUs(batch[i].enqueued, claimed);
       const int64_t total_us = ElapsedUs(batch[i].enqueued, done);
       const int64_t label = predictions[i].label;
       QueueWaitHistogram().Record(static_cast<uint64_t>(queue_us));
+      LatencyHistogram().Record(static_cast<uint64_t>(total_us));
       tenant->latency_histogram->Record(static_cast<uint64_t>(total_us));
       if (total_us >= options_.slow_request_us) {
         obs::EmitCompletedSpan("serve.slow_request",

@@ -22,32 +22,49 @@
 namespace rotom {
 namespace serve {
 
-/// Multi-tenant micro-batching front end over a ModelRegistry: the serving
-/// tier of DESIGN.md §13. Each tenant (a registry model name) gets its own
-/// bounded request queue; one worker thread walks the tenants with a
+/// Micro-batching front end over a ModelRegistry, and the repo's one
+/// serving core (DESIGN.md §10 and §13). Client threads Submit() single
+/// requests for a tenant (a registry model name); each tenant gets its own
+/// bounded request queue. One worker thread walks the tenants with a
 /// deterministic round-robin cursor, closes at most one batch per ready
 /// tenant per turn, pins that tenant's active session for exactly the
 /// duration of the fused forward (ModelRegistry::Acquire), and delivers
 /// results through the futures returned at submit time. Because the pin is
 /// per batch, a hot-swap in the registry takes effect at the next batch
 /// boundary — no request ever sees a torn model, and no queue has to drain
-/// for a swap to land.
+/// for a swap to land. A one-model deployment is a one-tenant server:
+/// publish the snapshot under a name and serve that name alone.
+///
+/// Coalescing: a tenant's batch closes as soon as `max_batch` of its
+/// requests wait or its *oldest* request has waited `max_delay_us`.
+/// Measuring the delay from enqueue time (not from when the worker goes
+/// idle) means a backlogged queue drains at full batch size with no
+/// artificial waiting, while a lone request under light load still leaves
+/// within max_delay_us.
 ///
 /// Admission control: the per-tenant queue holds at most `queue_capacity`
 /// requests, and a Submit() against a full queue fails *immediately* with an
 /// error Status instead of blocking — one tenant's backlog sheds its own
-/// load rather than stalling the others (contrast BatchingServer, whose
-/// single-tenant Submit blocks for backpressure).
+/// load rather than stalling the others.
 ///
 /// Fairness: the round-robin cursor advances past each served tenant, so a
 /// backlogged tenant gets exactly one batch per turn and can never starve a
 /// lightly loaded one; with equal demand, service order is deterministic.
-/// Batch closing mirrors BatchingServer: a tenant's batch is ready once
-/// `max_batch` of its requests wait or its oldest has waited `max_delay_us`.
 ///
 /// Shutdown() (also run by the destructor) rejects new submissions, drains
 /// every queued request through its tenant's model, and joins the worker;
-/// no accepted future is abandoned.
+/// no accepted future is abandoned, and a Submit() that loses the race with
+/// Shutdown() resolves immediately to an error Status.
+///
+/// Request lifecycle: Submit() assigns every admitted request an id from
+/// one dense per-server sequence (1, 2, 3, ...) under the queue lock; the
+/// id rides the request through queue -> batch -> forward -> reply and
+/// keys the sampled servelog `request` events, so a tail-latency
+/// investigation can follow one request end to end. Within a tenant the
+/// ids are strictly increasing (round-robin interleaves the tenants'
+/// subsequences in the file). Each request's latency is decomposed as
+/// queue_us (enqueue -> batch claim) + compute_us (the fused forward)
+/// within total_us (enqueue -> result delivered).
 ///
 /// SLO accounting: each tenant's completed requests are judged against a
 /// configurable latency objective (Options::slo_latency_us at
@@ -59,18 +76,16 @@ namespace serve {
 /// state is touched only by the worker thread, so it costs the submit path
 /// nothing.
 ///
-/// Request ids share one dense per-server sequence with the same lifecycle
-/// semantics as BatchingServer (see server.h); within a tenant, servelog
-/// `request` ids are strictly increasing (round-robin interleaves the
-/// tenants' subsequences in the file).
-///
-/// Observability (OBSERVABILITY.md): per-tenant `serve.tenant.<tenant>.*`
+/// Observability (OBSERVABILITY.md): server-wide `serve.requests`,
+/// `serve.rejected`, `serve.batches` counters and `serve.batch_size`,
+/// `serve.latency_us`, `serve.queue_wait_us`, `serve.compute_us`
+/// histograms, summed over tenants; per-tenant `serve.tenant.<tenant>.*`
 /// metrics — `requests`, `rejected`, `batches`, `slo_violations` counters,
-/// `queue_depth` and `budget_remaining` gauges, `latency_us` histogram —
-/// plus the global `serve.queue_wait_us`/`serve.compute_us` decomposition
-/// histograms, a `serve.tenant.batch` span around each fused forward, and
+/// `queue_depth` and `budget_remaining` gauges, `latency_us` histogram; a
+/// `serve.tenant.batch` span around each fused forward, and
 /// `serve.slow_request` spans above the slow threshold. The optional
-/// obs_http listener and serve log mirror BatchingServer's.
+/// obs_http listener serves live `/metrics` scrapes and the optional serve
+/// log (obs/servelog.h) records the flight-recorder stream.
 class TenantServer {
  public:
   struct Options {
@@ -166,7 +181,9 @@ class TenantServer {
     std::deque<Request> queue;  // guarded by mu_
     uint64_t requests = 0;      // guarded by mu_
     uint64_t rejected = 0;      // guarded by mu_
-    uint64_t batches = 0;       // guarded by mu_
+    // Guarded by mu_. Counts forwards that ran: a batch failed for want of
+    // an active model is not counted.
+    uint64_t batches = 0;
     // Cached at construction; the metric objects are process-lifetime.
     obs::Counter* requests_counter = nullptr;
     obs::Counter* rejected_counter = nullptr;

@@ -27,8 +27,6 @@
 namespace rotom {
 namespace {
 
-using serve::BatchingServer;
-using serve::InferenceSession;
 using serve::ModelRegistry;
 using serve::ObsHttpOptions;
 using serve::ObsHttpServer;
@@ -168,26 +166,24 @@ TEST(ObsHttpTest, MetricsOffStillServesValidEmptyExposition) {
   EXPECT_EQ(BodyOf(Get(server.value()->port(), "/healthz")), "ok\n");
 }
 
-// The acceptance scrape: a live BatchingServer under traffic exposes the
-// request-lifecycle decomposition, and a TenantServer exposes the
-// per-tenant SLO instruments, all through one registry.
+// The acceptance scrape: a live one-tenant TenantServer under traffic
+// exposes the request-lifecycle decomposition and the per-tenant SLO
+// instruments, all through one registry.
 TEST(ObsHttpTest, LiveServerScrapeCarriesLifecycleAndSloMetrics) {
   SKIP_IF_METRICS_COMPILED_OUT();
   ObsEnabledGuard guard;
   obs::SetEnabled(true);
 
-  const Snapshot snapshot = MakeSnapshot();
-  auto session = InferenceSession::Create(snapshot);
-  ASSERT_TRUE(session.ok()) << session.status().message();
-
-  BatchingServer::Options options;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("em", MakeSnapshot()).ok());
+  TenantServer::Options options;
   options.max_batch = 8;
   options.max_delay_us = 200;
   options.obs_http.enabled = true;
-  BatchingServer server(session.value().get(), options);
+  TenantServer server(&registry, {"em"}, options);
   ASSERT_NE(server.obs_http_port(), 0);
   for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(server.Predict("the movie was great").ok());
+    ASSERT_TRUE(server.Predict("em", "the movie was great").ok());
   }
 
   const std::string scrape = Get(server.obs_http_port(), "/metrics");
@@ -198,30 +194,13 @@ TEST(ObsHttpTest, LiveServerScrapeCarriesLifecycleAndSloMetrics) {
   }
   EXPECT_NE(scrape.find("serve_queue_wait_us_bucket{le=\"+Inf\"}"),
             std::string::npos);
+  EXPECT_NE(scrape.find("serve.tenant.em.slo_violations"), std::string::npos);
+  EXPECT_NE(scrape.find("serve.tenant.em.budget_remaining"),
+            std::string::npos);
+  EXPECT_NE(scrape.find("serve_tenant_em_requests"), std::string::npos);
   server.Shutdown();
   // Shutdown stops the listener with the worker.
   EXPECT_EQ(server.obs_http_port(), 0);
-
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Publish("em", snapshot).ok());
-  TenantServer::Options tenant_options;
-  tenant_options.max_batch = 8;
-  tenant_options.max_delay_us = 200;
-  tenant_options.obs_http.enabled = true;
-  TenantServer tenant_server(&registry, {"em"}, tenant_options);
-  ASSERT_NE(tenant_server.obs_http_port(), 0);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(tenant_server.Predict("em", "terrible plot").ok());
-  }
-  const std::string tenant_scrape =
-      Get(tenant_server.obs_http_port(), "/metrics");
-  EXPECT_NE(tenant_scrape.find("serve.tenant.em.slo_violations"),
-            std::string::npos);
-  EXPECT_NE(tenant_scrape.find("serve.tenant.em.budget_remaining"),
-            std::string::npos);
-  EXPECT_NE(tenant_scrape.find("serve_tenant_em_requests"),
-            std::string::npos);
-  tenant_server.Shutdown();
 }
 
 }  // namespace

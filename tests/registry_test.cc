@@ -1,8 +1,8 @@
 // Tests for the multi-tenant registry tier (DESIGN.md §13): mmap snapshot
 // loading (Snapshot::LoadMapped) parity with the stream path and its error
 // model, ModelRegistry publish/swap/retire semantics and RCU drain of
-// retired sessions, TenantServer admission control and round-robin
-// fairness, and the concurrent hot-swap-under-load shape that
+// retired sessions, TenantServer admission control, round-robin fairness
+// and batch/instrument accounting, and the concurrent hot-swap-under-load shape that
 // scripts/check.sh runs under TSan: client threads racing repeated swaps
 // with every response checked for correctness.
 
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "rotom/api.h"
 
 namespace rotom {
@@ -347,6 +348,86 @@ TEST(TenantServerTest, RoundRobinKeepsLightTenantAheadOfBacklog) {
   EXPECT_TRUE(light_stayed_ahead)
       << "light tenant never overtook the hog backlog in " << kAttempts
       << " attempts";
+}
+
+// A batch for a tenant with no active model fails its requests without
+// running a forward, so neither the tenant's stats nor its
+// serve.tenant.<t>.batches counter may count it.
+TEST(TenantServerTest, BatchForATenantWithNoModelIsNotCounted) {
+  ModelRegistry registry;
+  TenantServer server(&registry, {"late"});
+  obs::Counter& batches = obs::GetCounter("serve.tenant.late.batches");
+  const uint64_t before = batches.Value();
+
+  auto unpublished = server.Predict("late", QueryTexts()[0]);
+  ASSERT_FALSE(unpublished.ok());
+  EXPECT_NE(unpublished.status().message().find("no active model"),
+            std::string::npos)
+      << unpublished.status().message();
+  EXPECT_EQ(server.GetStats("late").batches, 0u);
+  EXPECT_EQ(batches.Value(), before);
+
+  // Once the model is published the next batch runs and counts in both.
+  ASSERT_TRUE(registry.Publish("late", MakeSnapshot(1)).ok());
+  ASSERT_TRUE(server.Predict("late", QueryTexts()[0]).ok());
+  server.Shutdown();
+  EXPECT_EQ(server.GetStats("late").requests, 2u);
+  EXPECT_EQ(server.GetStats("late").batches, 1u);
+#ifndef ROTOM_METRICS_DISABLED
+  EXPECT_EQ(batches.Value(), before + 1);
+#endif
+}
+
+// The server-wide serve.* instruments are the per-tenant totals summed over
+// tenants: two tenants, one of them shedding, plus a submit after
+// Shutdown(). Deltas, because the metrics registry is process-global.
+TEST(TenantServerTest, ServerWideInstrumentsSumOverTenants) {
+#ifdef ROTOM_METRICS_DISABLED
+  GTEST_SKIP() << "built with ROTOM_DISABLE_METRICS";
+#endif
+  obs::Counter& requests = obs::GetCounter("serve.requests");
+  obs::Counter& rejected = obs::GetCounter("serve.rejected");
+  obs::Counter& batches = obs::GetCounter("serve.batches");
+  obs::Histogram& batch_size = obs::GetHistogram("serve.batch_size");
+  obs::Histogram& latency = obs::GetHistogram("serve.latency_us");
+  obs::Histogram& queue_wait = obs::GetHistogram("serve.queue_wait_us");
+  const uint64_t requests0 = requests.Value();
+  const uint64_t rejected0 = rejected.Value();
+  const uint64_t batches0 = batches.Value();
+  const uint64_t batch_size0 = batch_size.Count();
+  const uint64_t latency0 = latency.Count();
+  const uint64_t queue_wait0 = queue_wait.Count();
+
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish("a", MakeSnapshot(1)).ok());
+  ASSERT_TRUE(registry.Publish("b", MakeSnapshot(2)).ok());
+  TenantServer::Options options;
+  // No batch can close before Shutdown(), so admission is deterministic:
+  // "b" overflows its queue and sheds, and Shutdown() drains both queues.
+  options.max_batch = 64;
+  options.max_delay_us = 10'000'000;
+  options.queue_capacity = 4;
+  TenantServer server(&registry, {"a", "b"}, options);
+  std::vector<std::future<StatusOr<Prediction>>> futures;
+  for (int i = 0; i < 3; ++i)
+    futures.push_back(server.Submit("a", QueryTexts()[i % 4]));
+  for (int i = 0; i < 7; ++i)
+    futures.push_back(server.Submit("b", QueryTexts()[i % 4]));
+  server.Shutdown();
+  EXPECT_FALSE(server.Submit("a", QueryTexts()[0]).get().ok());
+  uint64_t completed = 0;
+  for (auto& f : futures) completed += f.get().ok() ? 1 : 0;
+
+  const TenantServer::Stats a = server.GetStats("a");
+  const TenantServer::Stats b = server.GetStats("b");
+  EXPECT_EQ(b.rejected, 3u);  // 7 offered, queue_capacity 4
+  EXPECT_EQ(requests.Value() - requests0, a.requests + b.requests);
+  EXPECT_EQ(rejected.Value() - rejected0, a.rejected + b.rejected);
+  EXPECT_EQ(batches.Value() - batches0, a.batches + b.batches);
+  EXPECT_EQ(batch_size.Count() - batch_size0, batches.Value() - batches0);
+  EXPECT_EQ(completed, a.requests + b.requests);
+  EXPECT_EQ(latency.Count() - latency0, completed);
+  EXPECT_EQ(queue_wait.Count() - queue_wait0, completed);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Tests for the serve subsystem (DESIGN.md §10): snapshot save/load
 // round-trip fidelity, Status-based rejection of malformed snapshot files,
-// the thread-safe InferenceSession, the micro-batching BatchingServer
-// (including the 8-thread concurrent load shape run under TSan by
-// scripts/check.sh), and the rotom::api facade's spec validation.
+// the thread-safe InferenceSession, a one-model deployment served by a
+// one-tenant TenantServer (including the 8-thread concurrent load shape run
+// under TSan by scripts/check.sh), and the rotom::api facade's spec
+// validation.
 
 #include <cstdint>
 #include <cstdio>
@@ -22,10 +23,15 @@
 namespace rotom {
 namespace {
 
-using serve::BatchingServer;
 using serve::InferenceSession;
+using serve::ModelRegistry;
 using serve::Prediction;
 using serve::Snapshot;
+using serve::TenantServer;
+
+// A one-model deployment publishes its snapshot under one name and serves
+// that name as the only tenant.
+constexpr char kModel[] = "model";
 
 std::shared_ptr<text::Vocabulary> ServeVocab() {
   auto vocab = std::make_shared<text::Vocabulary>();
@@ -405,16 +411,18 @@ TEST(QuantizedSessionTest, QuantizedForwardBumpsTheCounter) {
   EXPECT_EQ(obs::GetCounter("serve.quantized").Value(), before + 2);
 }
 
-TEST(QuantizedSessionTest, ServesThroughTheBatchingServer) {
+TEST(QuantizedSessionTest, ServesThroughAOneTenantServer) {
   auto quantized = serve::QuantizeSnapshot(MakeSnapshot());
   ASSERT_TRUE(quantized.ok());
-  auto session = InferenceSession::Create(quantized.value());
-  ASSERT_TRUE(session.ok());
-  const auto direct = session.value()->PredictBatch(QueryTexts());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, quantized.value()).ok());
+  const auto session = registry.Acquire(kModel);
+  ASSERT_TRUE(session->quantized());
+  const auto direct = session->PredictBatch(QueryTexts());
 
-  BatchingServer server(session.value().get());
+  TenantServer server(&registry, {kModel});
   for (size_t i = 0; i < QueryTexts().size(); ++i) {
-    auto result = server.Predict(QueryTexts()[i]);
+    auto result = server.Predict(kModel, QueryTexts()[i]);
     ASSERT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ(result.value().label, direct[i].label);
     ASSERT_EQ(result.value().probs.size(), direct[i].probs.size());
@@ -464,27 +472,26 @@ TEST(InferenceSessionTest, OpenReportsLoadErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchingServer
+// One-tenant TenantServer: a one-model deployment
 
-// The TSan-swept concurrency shape from ISSUE acceptance: 8 closed-loop
-// client threads against one server; every coalesced answer must equal the
-// serial single-request answer for the same text (eval-mode forwards are
-// deterministic and rows are independent, so co-batching must not change
-// results).
-TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
+// The TSan-swept concurrency shape: 8 closed-loop client threads against
+// one server; every coalesced answer must equal the serial single-request
+// answer for the same text (eval-mode forwards are deterministic and rows
+// are independent, so co-batching must not change results).
+TEST(OneTenantServerTest, EightThreadsGetSerialIdenticalResults) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
+  const auto session = registry.Acquire(kModel);
 
   // Serial reference answers, one text per forward.
   std::vector<Prediction> expected;
   for (const auto& text : QueryTexts()) {
-    auto one = session.value()->PredictBatch(
-        std::span<const std::string>(&text, 1));
+    auto one = session->PredictBatch(std::span<const std::string>(&text, 1));
     ASSERT_EQ(one.size(), 1u);
     expected.push_back(one[0]);
   }
 
-  BatchingServer::Options options;
+  TenantServer::Options options;
   options.max_batch = 16;
   options.max_delay_us = 500;
   // Run the full observability surface under the concurrent load: the live
@@ -494,7 +501,7 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
   options.obs_http.enabled = true;
   options.servelog_dir = ::testing::TempDir();
   options.servelog_sample = 1;
-  BatchingServer server(session.value().get(), options);
+  TenantServer server(&registry, {kModel}, options);
   EXPECT_NE(server.obs_http_port(), 0);
   ASSERT_NE(server.servelog(), nullptr);
   const std::string servelog_path = server.servelog()->path();
@@ -507,7 +514,7 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         const size_t q = static_cast<size_t>(t + i) % QueryTexts().size();
-        auto result = server.Predict(QueryTexts()[q]);
+        auto result = server.Predict(kModel, QueryTexts()[q]);
         if (!result.ok() || result.value().label != expected[q].label ||
             result.value().probs != expected[q].probs) {
           ++mismatches[t];
@@ -519,7 +526,7 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
   server.Shutdown();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 
-  const auto stats = server.GetStats();
+  const auto stats = server.GetStats(kModel);
   EXPECT_EQ(stats.requests, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_GT(stats.batches, 0u);
   // Coalescing must actually happen under 8-way concurrent load.
@@ -539,21 +546,20 @@ TEST(BatchingServerTest, EightThreadsGetSerialIdenticalResults) {
   std::remove(servelog_path.c_str());
 }
 
-TEST(BatchingServerTest, ShutdownDrainsEveryPendingFuture) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
+TEST(OneTenantServerTest, ShutdownDrainsEveryPendingFuture) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
   // A huge delay and batch bound park submissions in the queue so Shutdown()
   // races real pending work.
-  BatchingServer::Options options;
+  TenantServer::Options options;
   options.max_batch = 1024;
   options.max_delay_us = 60 * 1000 * 1000;
-  BatchingServer server(session.value().get(), options);
+  TenantServer server(&registry, {kModel}, options);
 
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(
-        server.Submit(QueryTexts()[static_cast<size_t>(i) %
-                                   QueryTexts().size()]));
+    futures.push_back(server.Submit(
+        kModel, QueryTexts()[static_cast<size_t>(i) % QueryTexts().size()]));
   }
   server.Shutdown();
   for (auto& f : futures) {
@@ -563,28 +569,28 @@ TEST(BatchingServerTest, ShutdownDrainsEveryPendingFuture) {
   }
 }
 
-TEST(BatchingServerTest, SubmitAfterShutdownResolvesToError) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
-  BatchingServer server(session.value().get());
+TEST(OneTenantServerTest, SubmitAfterShutdownResolvesToError) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
+  TenantServer server(&registry, {kModel});
   server.Shutdown();
   server.Shutdown();  // idempotent
-  auto result = server.Submit("the movie was great").get();
+  auto result = server.Submit(kModel, "the movie was great").get();
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("shut down"), std::string::npos)
       << result.status().message();
 }
 
-TEST(BatchingServerTest, DestructorResolvesOutstandingFutures) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok()) << session.status().message();
+TEST(OneTenantServerTest, DestructorResolvesOutstandingFutures) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
   std::vector<std::future<StatusOr<Prediction>>> futures;
   {
-    BatchingServer::Options options;
+    TenantServer::Options options;
     options.max_delay_us = 60 * 1000 * 1000;
-    BatchingServer server(session.value().get(), options);
+    TenantServer server(&registry, {kModel}, options);
     for (int i = 0; i < 8; ++i)
-      futures.push_back(server.Submit("brilliant acting"));
+      futures.push_back(server.Submit(kModel, "brilliant acting"));
   }  // destructor == Shutdown()
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 }

@@ -25,12 +25,14 @@
 namespace rotom {
 namespace {
 
-using serve::BatchingServer;
-using serve::InferenceSession;
 using serve::ModelRegistry;
 using serve::Prediction;
 using serve::Snapshot;
 using serve::TenantServer;
+
+// A one-model deployment publishes its snapshot under one name and serves
+// that name as the only tenant.
+constexpr char kModel[] = "model";
 
 class ObsEnabledGuard {
  public:
@@ -86,12 +88,11 @@ int64_t IntField(const std::string& line, const std::string& key) {
   return std::atoll(line.c_str() + pos + needle.size());
 }
 
-TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
-  const Snapshot snapshot = MakeSnapshot();
-  auto session = InferenceSession::Create(snapshot);
-  ASSERT_TRUE(session.ok()) << session.status().message();
+TEST(ServeLogTest, OneTenantServerWritesManifestAndDenseMonotonicIds) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
 
-  BatchingServer::Options options;
+  TenantServer::Options options;
   options.max_batch = 4;
   options.max_delay_us = 200;
   options.servelog_dir = ::testing::TempDir();
@@ -99,11 +100,11 @@ TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
   constexpr int kRequests = 24;
   std::string path;
   {
-    BatchingServer server(session.value().get(), options);
+    TenantServer server(&registry, {kModel}, options);
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     for (int i = 0; i < kRequests; ++i) {
-      ASSERT_TRUE(server.Predict("the movie was great").ok());
+      ASSERT_TRUE(server.Predict(kModel, "the movie was great").ok());
     }
     server.Shutdown();
   }
@@ -122,13 +123,13 @@ TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
   EXPECT_NE(manifest.find(obs::kServeLogSchema), std::string::npos);
   EXPECT_TRUE(HasField(manifest, "simd_flavor"));
   EXPECT_TRUE(HasField(manifest, "rotom_simd"));
-  EXPECT_NE(manifest.find("\"server\": \"batching\""), std::string::npos);
-  EXPECT_NE(manifest.find("\"precision\": \"f32\""), std::string::npos);
+  EXPECT_NE(manifest.find("\"server\": \"tenant\""), std::string::npos);
+  EXPECT_EQ(IntField(manifest, "tenants"), 1);
   EXPECT_EQ(IntField(manifest, "sample"), 1);
   EXPECT_EQ(IntField(manifest, "max_batch"), 4);
 
   // Request ids are dense (1..N, accepted submissions only) and, because
-  // the BatchingServer queue is FIFO, strictly increasing in file order.
+  // the one tenant's queue is FIFO, strictly increasing in file order.
   int64_t expected_id = 0;
   for (const std::string& line : lines) {
     if (!IsEvent(line, "request")) continue;
@@ -141,28 +142,29 @@ TEST(ServeLogTest, BatchingServerWritesManifestAndDenseMonotonicIds) {
     EXPECT_GE(total_us, queue_us) << line;
     EXPECT_GE(IntField(line, "batch_size"), 1);
     EXPECT_GE(IntField(line, "label"), 0);
-    // The single-server global stream carries no tenant field.
-    EXPECT_FALSE(HasField(line, "tenant")) << line;
+    // Every request event names the tenant that submitted it.
+    EXPECT_NE(line.find("\"tenant\": \"model\""), std::string::npos)
+        << line;
   }
   EXPECT_EQ(expected_id, kRequests);
   std::remove(path.c_str());
 }
 
 TEST(ServeLogTest, SamplingKeepsOneInN) {
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok());
-  BatchingServer::Options options;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
+  TenantServer::Options options;
   options.max_batch = 4;
   options.max_delay_us = 200;
   options.servelog_dir = ::testing::TempDir();
   options.servelog_sample = 4;
   std::string path;
   {
-    BatchingServer server(session.value().get(), options);
+    TenantServer server(&registry, {kModel}, options);
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     for (int i = 0; i < 16; ++i)
-      ASSERT_TRUE(server.Predict("terrible plot").ok());
+      ASSERT_TRUE(server.Predict(kModel, "terrible plot").ok());
   }
   std::vector<int64_t> ids;
   for (const std::string& line : ReadLines(path)) {
@@ -175,15 +177,15 @@ TEST(ServeLogTest, SamplingKeepsOneInN) {
 
 TEST(ServeLogTest, EnvDirFallbackOpensTheRecorder) {
   ::setenv("ROTOM_SERVELOG_DIR", ::testing::TempDir().c_str(), 1);
-  auto session = InferenceSession::Create(MakeSnapshot());
-  ASSERT_TRUE(session.ok());
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
   std::string path;
   {
-    BatchingServer server(session.value().get());  // no servelog options
+    TenantServer server(&registry, {kModel});  // no servelog options
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     EXPECT_EQ(path.rfind(::testing::TempDir(), 0), 0u) << path;
-    ASSERT_TRUE(server.Predict("the movie was great").ok());
+    ASSERT_TRUE(server.Predict(kModel, "the movie was great").ok());
   }
   ::unsetenv("ROTOM_SERVELOG_DIR");
   EXPECT_FALSE(ReadLines(path).empty());
@@ -287,10 +289,9 @@ TEST(ServeLogTest, MetricsOffKeepsServingAndRecorderWorking) {
   ObsEnabledGuard guard;
   obs::SetEnabled(false);
 
-  const Snapshot snapshot = MakeSnapshot();
-  auto session = InferenceSession::Create(snapshot);
-  ASSERT_TRUE(session.ok());
-  BatchingServer::Options options;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Publish(kModel, MakeSnapshot()).ok());
+  TenantServer::Options options;
   options.max_batch = 4;
   options.max_delay_us = 200;
   options.servelog_dir = ::testing::TempDir();
@@ -298,17 +299,17 @@ TEST(ServeLogTest, MetricsOffKeepsServingAndRecorderWorking) {
   options.obs_http.enabled = true;
   std::string path;
   {
-    BatchingServer server(session.value().get(), options);
+    TenantServer server(&registry, {kModel}, options);
     ASSERT_NE(server.servelog(), nullptr);
     path = server.servelog()->path();
     for (int i = 0; i < 8; ++i) {
-      auto result = server.Predict("the movie was great");
+      auto result = server.Predict(kModel, "the movie was great");
       ASSERT_TRUE(result.ok()) << result.status().message();
       EXPECT_EQ(result.value().probs.size(), 3u);
     }
     // Internal stats counters are mutex-guarded members, not obs metrics,
     // so they keep counting with the switch off.
-    EXPECT_EQ(server.GetStats().requests, 8u);
+    EXPECT_EQ(server.GetStats(kModel).requests, 8u);
   }
   // The recorder is independent of the metrics switch: events still land.
   int requests = 0;

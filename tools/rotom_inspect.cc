@@ -413,8 +413,9 @@ int CmdSummary(const std::string& path) {
 
 // ---- Serve logs (obs/servelog.h, rotom-servelog-v1) ----
 
-// Per-tenant rollup of one serve log. The BatchingServer's global stream
-// (request events with no `tenant` field) lands under the display name "-".
+// Per-tenant rollup of one serve log. Logs from older builds carry request
+// events with no `tenant` field (a single-model server); those land under
+// the display name "-".
 struct ServeTenantStats {
   int64_t sampled = 0;           // request events seen (1-in-`sample`)
   int64_t sheds = 0;             // shed events
@@ -798,15 +799,21 @@ int CmdSelftest() {
                  400);
   SELFTEST_CHECK(serve_run.tenants.count("cls") == 0);  // never sampled
 
-  // Same crash-truncation tolerance as the run-log parser.
+  // A request line from an older build's single-model server, which wrote
+  // no `tenant` field, is filed under "-". Then the same crash-truncation
+  // tolerance as the run-log parser.
   {
     std::ofstream append(serve_path, std::ios::app);
-    append << "{\"event\": \"request\", \"id\": 9, \"que";
+    append << "{\"event\": \"request\", \"id\": 9, \"queue_us\": 10, "
+              "\"compute_us\": 30, \"total_us\": 40, \"batch_size\": 1, "
+              "\"label\": 0}\n";
+    append << "{\"event\": \"request\", \"id\": 11, \"que";
   }
   ServeRun truncated_serve;
   SELFTEST_CHECK(LoadServe(serve_path, &truncated_serve));
   SELFTEST_CHECK(truncated_serve.skipped_lines == 1);
   SELFTEST_CHECK(truncated_serve.tenants.at("em").sampled == 4);
+  SELFTEST_CHECK(truncated_serve.tenants.at("-").sampled == 1);
   SELFTEST_CHECK(CmdServe(serve_path) == 0);
 
   std::remove(path.c_str());

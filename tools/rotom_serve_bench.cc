@@ -6,13 +6,17 @@
 //   serial  — one client thread calling InferenceSession::PredictBatch with
 //             a single text per call (batch size 1, the no-batching shape),
 //   server  — ROTOM_SERVE_CLIENTS closed-loop client threads (default 8)
-//             submitting single requests through a BatchingServer, whose
-//             worker coalesces whatever is waiting into one fused forward.
+//             submitting single requests through a one-tenant
+//             TenantServer, whose worker coalesces whatever is waiting
+//             into one fused forward.
 //
-// Both modes run twice: once against the float session and once against an
-// int8 session built by quantizing the same snapshot (DESIGN.md §12), so
+// Both modes run twice: once against the float model and once against an
+// int8 model built by quantizing the same snapshot (DESIGN.md §12), so
 // BENCH_serve.json carries the quantized-serving qps uplift
-// (speedup_vs_f32_serial) next to the micro-batching speedup.
+// (speedup_vs_f32_serial) next to the micro-batching speedup. The two
+// models are published into a ModelRegistry as tenants "f32" and "int8";
+// each serial window pins the very session its server window serves
+// (ModelRegistry::Acquire).
 //
 // A fifth window exercises the multi-tenant registry tier (DESIGN.md §13):
 // three tenant models behind a ModelRegistry-backed TenantServer, each
@@ -34,14 +38,16 @@
 // pool, which a batch-1 forward cannot (its kernels fall below the pool's
 // grain and run inline on one core).
 //
-// The speedup is therefore strongly hardware-dependent: on a multi-core
-// host with ROTOM_NUM_THREADS >= 4 the batched server is expected to clear
-// 3x; on a single-core container (this repo's CI pins affinity to one CPU)
-// the fused forward is already at the arithmetic roofline at batch size 1,
-// so only the per-forward dispatch overhead amortizes and the honest
-// ceiling is ~1.3x. BENCH_serve.json records `cores` and `pool_threads`
-// alongside the qps numbers so downstream tooling can interpret the ratio;
-// see EXPERIMENTS.md "Serve bench".
+// The speedup is therefore strongly hardware-dependent. On a 4-core x86-64
+// host with AVX2 and the default 4-thread pool, the f32 server/serial ratio
+// measured a median of 1.83x over 5 default-length runs (range
+// 1.73-2.41x; the serial window alone varied 444-664 qps on that shared
+// host). On a single-core container the fused forward is already at the
+// arithmetic roofline at batch size 1, so only the per-forward dispatch
+// overhead amortizes and the honest ceiling is ~1.3x.
+// BENCH_serve.json records `cores` and `pool_threads` alongside the qps
+// numbers so downstream tooling can interpret the ratio; see EXPERIMENTS.md
+// "Serve bench".
 //
 // Output: a console table plus BENCH_serve.json (rotom-bench-v2 schema; the
 // metrics section carries the serve.* counters, the serve.latency_us /
@@ -50,8 +56,9 @@
 // serve.queue_wait_share ratios). The bench also runs the full serving
 // observability surface under load: a serve flight recorder
 // (serve_bench-p<pid>-*.jsonl next to BENCH_serve.json, readable with
-// `rotom_inspect serve`) shared by both servers and the registry, and a
-// live /metrics listener on an ephemeral loopback port per server window.
+// `rotom_inspect serve`) shared by every server window and the registry,
+// and a live /metrics listener on an ephemeral loopback port per server
+// window.
 //
 // Environment:
 //   ROTOM_SMOKE=1            short measurement windows
@@ -87,16 +94,6 @@ double Now() {
       .count();
 }
 
-// A servable model with bench-scale weights, in both serving precisions.
-// Training quality is irrelevant to throughput, so the weights stay at
-// their random initialization; the snapshot round trip is still exercised
-// end to end (Save -> Open for the float session, QuantizeSnapshot ->
-// Create for the int8 one, mirroring the offline rotom_quantize flow).
-struct Sessions {
-  std::unique_ptr<serve::InferenceSession> f32;
-  std::unique_ptr<serve::InferenceSession> int8;
-};
-
 // Bench-scale servable model with seed-determined random weights.
 // dim 128 (not the experiments' 32/64): the serving stand-in should be
 // wide enough that per-layer GEMMs dominate the forward the way they do
@@ -118,19 +115,23 @@ serve::Snapshot MakeBenchSnapshot(uint64_t seed) {
   return serve::Snapshot::FromModel(model);
 }
 
-StatusOr<Sessions> MakeSessions(const std::string& snapshot_path) {
+// A servable model with bench-scale weights, in both serving precisions,
+// published as tenants "f32" and "int8". Training quality is irrelevant to
+// throughput, so the weights stay at their random initialization; the
+// snapshot round trip is still exercised end to end (Save -> Publish(path)
+// for the float model, QuantizeSnapshot -> Publish for the int8 one,
+// mirroring the offline rotom_quantize flow).
+Status PublishBenchModels(serve::ModelRegistry& registry,
+                          const std::string& snapshot_path) {
   const serve::Snapshot snapshot = MakeBenchSnapshot(7);
   if (auto s = snapshot.Save(snapshot_path); !s.ok()) return s;
-  auto f32 = serve::InferenceSession::Open(snapshot_path);
-  if (!f32.ok()) return f32.status();
+  if (auto f32 = registry.Publish("f32", snapshot_path); !f32.ok())
+    return f32.status();
   auto quantized = serve::QuantizeSnapshot(snapshot);
   if (!quantized.ok()) return quantized.status();
-  auto int8 = serve::InferenceSession::Create(quantized.value());
-  if (!int8.ok()) return int8.status();
-  Sessions out;
-  out.f32 = std::move(f32).value();
-  out.int8 = std::move(int8).value();
-  return out;
+  if (auto int8 = registry.Publish("int8", quantized.value()); !int8.ok())
+    return int8.status();
+  return Status::Ok();
 }
 
 // Distinct query texts; clients cycle through the pool, so after warmup the
@@ -178,8 +179,8 @@ LoadResult RunSerial(const serve::InferenceSession& session,
   return result;
 }
 
-// Closed-loop clients through the micro-batching server.
-LoadResult RunServer(serve::BatchingServer& server,
+// Closed-loop clients through the micro-batching server, all on `tenant`.
+LoadResult RunServer(serve::TenantServer& server, const std::string& tenant,
                      const std::vector<std::string>& pool, int64_t clients,
                      double seconds) {
   std::atomic<bool> stop{false};
@@ -190,7 +191,7 @@ LoadResult RunServer(serve::BatchingServer& server,
     threads.emplace_back([&, c] {
       size_t i = static_cast<size_t>(c) * 17;  // de-phase the clients
       while (!stop.load(std::memory_order_relaxed)) {
-        auto prediction = server.Predict(pool[i++ % pool.size()]);
+        auto prediction = server.Predict(tenant, pool[i++ % pool.size()]);
         ROTOM_CHECK(prediction.ok());
         completed.fetch_add(1, std::memory_order_relaxed);
       }
@@ -285,16 +286,6 @@ int Main() {
       static_cast<double>(bench::EnvInt("ROTOM_SERVE_MIN_SPEEDUP_PCT", 0)) /
       100.0;
 
-  const std::string snapshot_path =
-      bench::BenchJsonPath("rotom_serve_bench.rsnap");
-  auto sessions = MakeSessions(snapshot_path);
-  if (!sessions.ok()) {
-    std::fprintf(stderr, "rotom_serve_bench: %s\n",
-                 sessions.status().message().c_str());
-    return 1;
-  }
-  serve::InferenceSession& f32_session = *sessions.value().f32;
-  serve::InferenceSession& int8_session = *sessions.value().int8;
   const std::vector<std::string> pool = MakeQueryPool(256);
 
   // Serve flight recorder, shared by every server window and the registry
@@ -314,22 +305,40 @@ int Main() {
   if (servelog != nullptr)
     std::printf("servelog: %s\n", servelog->path().c_str());
 
+  // One registry holds every model the bench serves: "f32" and "int8" for
+  // the single-model windows, then the three mixed-window tenants.
+  serve::ModelRegistry::Options registry_options;
+  registry_options.servelog = servelog;  // swap events join the same stream
+  serve::ModelRegistry registry(registry_options);
+  const std::string snapshot_path =
+      bench::BenchJsonPath("rotom_serve_bench.rsnap");
+  if (auto s = PublishBenchModels(registry, snapshot_path); !s.ok()) {
+    std::fprintf(stderr, "rotom_serve_bench: %s\n", s.message().c_str());
+    return 1;
+  }
+  const std::shared_ptr<const serve::InferenceSession> f32_session =
+      registry.Acquire("f32");
+  const std::shared_ptr<const serve::InferenceSession> int8_session =
+      registry.Acquire("int8");
+
   // `kill -USR1 <pid>` dumps the Prometheus exposition to
   // ROTOM_OBS_SNAPSHOT; a no-op when the variable is unset.
   obs::InstallSnapshotSignalHandler();
 
   // Warm the encoding caches and the buffer pool outside the windows so
   // every mode measures steady state.
-  f32_session.PredictBatch(pool);
-  int8_session.PredictBatch(pool);
+  f32_session->PredictBatch(pool);
+  int8_session->PredictBatch(pool);
 
   bench::PrintTitle(
       "serve: micro-batching and int8 vs f32 serial (BENCH_serve.json)");
   bench::PrintHeader("mode", {"threads", "qps", "speedup"});
 
-  serve::BatchingServer::Options server_options;
+  // One server configuration for every window.
+  serve::TenantServer::Options server_options;
   server_options.max_batch = max_batch;
   server_options.max_delay_us = 200;
+  server_options.queue_capacity = 1024;
   server_options.servelog = servelog;
   // Live scrape endpoint on an ephemeral port, held open for the window's
   // duration: the bench doubles as an integration check that the listener
@@ -341,29 +350,30 @@ int Main() {
   // server} x {f32, int8}. Every speedup column is relative to the f32
   // serial baseline, so the table reads as "what does each optimization buy
   // on this host".
-  const LoadResult serial = RunSerial(f32_session, pool, seconds);
+  const LoadResult serial = RunSerial(*f32_session, pool, seconds);
   bench::PrintRow("serial f32", {1.0, serial.qps(), 1.0});
 
-  serve::BatchingServer server(&f32_session, server_options);
+  serve::TenantServer server(&registry, {"f32"}, server_options);
   if (server.obs_http_port() != 0)
     std::printf("obs http: 127.0.0.1:%d/metrics\n", server.obs_http_port());
-  const LoadResult batched = RunServer(server, pool, clients, seconds);
+  const LoadResult batched = RunServer(server, "f32", pool, clients, seconds);
   server.Shutdown();
-  const auto stats = server.GetStats();
+  const auto stats = server.GetStats("f32");
   const double speedup =
       serial.qps() > 0.0 ? batched.qps() / serial.qps() : 0.0;
   bench::PrintRow("server f32",
                   {static_cast<double>(clients), batched.qps(), speedup});
 
-  const LoadResult qserial = RunSerial(int8_session, pool, seconds);
+  const LoadResult qserial = RunSerial(*int8_session, pool, seconds);
   const double qserial_speedup =
       serial.qps() > 0.0 ? qserial.qps() / serial.qps() : 0.0;
   bench::PrintRow("serial int8", {1.0, qserial.qps(), qserial_speedup});
 
-  serve::BatchingServer qserver(&int8_session, server_options);
-  const LoadResult qbatched = RunServer(qserver, pool, clients, seconds);
+  serve::TenantServer qserver(&registry, {"int8"}, server_options);
+  const LoadResult qbatched =
+      RunServer(qserver, "int8", pool, clients, seconds);
   qserver.Shutdown();
-  const auto qstats = qserver.GetStats();
+  const auto qstats = qserver.GetStats("int8");
   const double qbatched_speedup =
       serial.qps() > 0.0 ? qbatched.qps() / serial.qps() : 0.0;
   bench::PrintRow("server int8",
@@ -384,9 +394,6 @@ int Main() {
   // (int8, in-memory); ground-truth labels for both versions are computed
   // on directly pinned sessions before any traffic flows.
   const std::vector<std::string> tenant_names = {"em", "edt", "cls"};
-  serve::ModelRegistry::Options registry_options;
-  registry_options.servelog = servelog;  // swap events join the same stream
-  serve::ModelRegistry registry(registry_options);
   std::vector<std::vector<int64_t>> labels_v1, labels_v2;
   for (size_t t = 0; t < tenant_names.size(); ++t) {
     const serve::Snapshot snapshot = MakeBenchSnapshot(7 + t);
@@ -418,14 +425,7 @@ int Main() {
       labels_v2.back().push_back(p.label);
   }
 
-  serve::TenantServer::Options tenant_options;
-  tenant_options.max_batch = max_batch;
-  tenant_options.max_delay_us = 200;
-  tenant_options.queue_capacity = 1024;
-  tenant_options.servelog = servelog;
-  tenant_options.obs_http.enabled = true;
-  tenant_options.obs_http.port = 0;
-  serve::TenantServer tenant_server(&registry, tenant_names, tenant_options);
+  serve::TenantServer tenant_server(&registry, tenant_names, server_options);
   const TenantLoadResult tenants = RunTenants(
       registry, tenant_server, tenant_names, labels_v1, labels_v2, pool,
       clients, seconds);
