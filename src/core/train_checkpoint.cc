@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 
 namespace rotom {
 namespace core {
@@ -10,37 +9,6 @@ namespace core {
 namespace {
 
 constexpr char kMagic[6] = "RTCK1";
-
-template <typename T>
-void WritePod(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-void WriteString(std::ofstream& out, const std::string& s) {
-  WritePod<uint64_t>(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-// Bytes left to read in `in`; length fields are checked against it so a
-// corrupted count fails cleanly instead of allocating wildly.
-uint64_t Remaining(std::ifstream& in, uint64_t file_size) {
-  const std::streamoff pos = in.tellg();
-  return pos < 0 ? 0 : file_size - static_cast<uint64_t>(pos);
-}
-
-bool ReadString(std::ifstream& in, uint64_t file_size, std::string* s) {
-  uint64_t len = 0;
-  if (!ReadPod(in, &len) || len > Remaining(in, file_size)) return false;
-  s->assign(len, '\0');
-  in.read(s->data(), static_cast<std::streamsize>(len));
-  return static_cast<bool>(in);
-}
 
 }  // namespace
 
@@ -102,79 +70,50 @@ const Tensor* TrainCheckpoint::FindTensor(const std::string& name) const {
 }
 
 Status TrainCheckpoint::Save(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary);
-    if (!out) return Status::Error("cannot open " + tmp + " for writing");
-    out.write(kMagic, sizeof(kMagic));
-    WritePod<uint64_t>(out, scalars_.size());
-    for (const auto& [key, value] : scalars_) {
-      WriteString(out, key);
-      WriteString(out, value);
-    }
-    WritePod<uint64_t>(out, tensors_.size());
-    for (const auto& [name, tensor] : tensors_) {
-      WriteString(out, name);
-      WritePod<uint64_t>(out, tensor.shape().size());
-      for (int64_t d : tensor.shape()) WritePod<int64_t>(out, d);
-      out.write(reinterpret_cast<const char*>(tensor.data()),
-                static_cast<std::streamsize>(sizeof(float) * tensor.size()));
-    }
-    if (!out) return Status::Error("write failed for " + tmp);
+  ByteWriter out;
+  out.Bytes(kMagic, sizeof(kMagic));
+  out.Pod<uint64_t>(scalars_.size());
+  for (const auto& [key, value] : scalars_) {
+    out.String(key);
+    out.String(value);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Error("cannot rename " + tmp + " to " + path);
+  out.Pod<uint64_t>(tensors_.size());
+  for (const auto& [name, tensor] : tensors_) {
+    out.String(name);
+    out.TensorEntry(tensor);
   }
-  return Status::Ok();
+  return WriteFileAtomic(path, {out.buffer()});
 }
 
 StatusOr<TrainCheckpoint> TrainCheckpoint::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::Error("cannot open " + path);
-  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
+  auto file = MappedFile::Open(path);
+  if (!file.ok()) return file.status();
+  ByteReader in(file.value().bytes());
   char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::string(magic, sizeof(magic)) !=
-                 std::string(kMagic, sizeof(kMagic))) {
+  if (!in.Bytes(magic, sizeof(magic)) ||
+      std::string_view(magic, sizeof(magic)) !=
+          std::string_view(kMagic, sizeof(kMagic))) {
     return Status::Error("bad checkpoint magic in " + path);
   }
   TrainCheckpoint ckpt;
   uint64_t num_scalars = 0;
-  if (!ReadPod(in, &num_scalars)) return Status::Error("truncated header");
+  if (!in.Pod(&num_scalars)) return Status::Error("truncated header");
   for (uint64_t i = 0; i < num_scalars; ++i) {
     std::string key, value;
-    if (!ReadString(in, file_size, &key) ||
-        !ReadString(in, file_size, &value)) {
+    if (!in.String(&key) || !in.String(&value)) {
       return Status::Error("truncated scalar in " + path);
     }
     ckpt.scalars_.emplace_back(std::move(key), std::move(value));
   }
   uint64_t num_tensors = 0;
-  if (!ReadPod(in, &num_tensors)) return Status::Error("truncated header");
+  if (!in.Pod(&num_tensors)) return Status::Error("truncated header");
   for (uint64_t i = 0; i < num_tensors; ++i) {
     std::string name;
-    if (!ReadString(in, file_size, &name))
+    if (!in.String(&name))
       return Status::Error("truncated tensor name in " + path);
-    uint64_t ndim = 0;
-    if (!ReadPod(in, &ndim) || ndim > 8)
-      return Status::Error("bad tensor rank in " + path);
-    std::vector<int64_t> shape(ndim);
-    uint64_t numel = 1;
-    for (auto& d : shape) {
-      if (!ReadPod(in, &d) || d < 0)
-        return Status::Error("bad tensor shape in " + path);
-      // Every element is 4 bytes on disk: a count past the remaining bytes
-      // is corruption, caught before allocating (and before overflowing).
-      const uint64_t limit = Remaining(in, file_size) / sizeof(float);
-      if (numel != 0 && static_cast<uint64_t>(d) > limit / numel)
-        return Status::Error("truncated tensor data in " + path);
-      numel *= static_cast<uint64_t>(d);
-    }
-    Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(sizeof(float) * t.size()));
-    if (!in) return Status::Error("truncated tensor data in " + path);
+    Tensor t;
+    if (Status s = in.TensorEntry(&t); !s.ok())
+      return Status::Error(s.message() + " in " + path);
     // A repeated name would let a shape check and a later load read
     // different entries.
     if (ckpt.FindTensor(name) != nullptr)

@@ -15,8 +15,11 @@ namespace core {
 /// On-disk snapshot of a streaming training run: named tensors (model
 /// weights, meta-model weights, optimizer moments, best-so-far state) plus
 /// string scalars (step counters, RNG-free stream state, metrics). One file
-/// written atomically (tmp + rename) at each validation round, so a killed
-/// run resumes from the last completed round with nothing torn.
+/// written atomically (WriteFileAtomic: tmp + rename) at each validation
+/// round, so a killed run resumes from the last completed round with
+/// nothing torn. Format RTCK1, in the byte codec of tensor/serialize.h:
+/// magic "RTCK1\0", u64 scalar count, {key, value} strings, u64 tensor
+/// count, then {name string, tensor entry} per tensor.
 ///
 /// Scalars are strings; Int/Double accessors parse on read (doubles
 /// round-trip through %.17g, so resumed float comparisons stay
@@ -39,6 +42,8 @@ class TrainCheckpoint {
 
   /// Writes "<path>.tmp" then renames over `path`.
   Status Save(const std::string& path) const;
+  /// Maps and parses `path`; an error Status (never an abort) for a
+  /// missing, truncated or corrupt file.
   static StatusOr<TrainCheckpoint> Load(const std::string& path);
 
  private:

@@ -20,11 +20,11 @@ StatusOr<int64_t> FindColumn(const CsvTable& table, const std::string& name) {
 }
 
 // Every loader below indexes row[col] for header-derived columns, which is
-// out of bounds on a ragged row. ParseCsv validates width against the header
-// for well-formed input, but tables assembled programmatically (or by future
-// parser changes) are not covered — fail with the offending row instead of
-// reading past the end. Row numbers are 1-based data rows (the header is
-// row 0).
+// out of bounds on a ragged row. The CSV reader already rejects ragged rows
+// with this same message; the check here keeps the indexing safe on its
+// own rather than relying on the parser — fail with the offending row
+// instead of reading past the end. Row numbers are 1-based data rows (the
+// header is row 0).
 Status CheckRectangular(const CsvTable& table, const std::string& what) {
   for (size_t r = 0; r < table.rows.size(); ++r) {
     if (table.rows[r].size() != table.header.size()) {

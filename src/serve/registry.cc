@@ -42,7 +42,7 @@ StatusOr<uint64_t> ModelRegistry::Publish(const std::string& name,
   // Load + session build happen outside every lock: a multi-second snapshot
   // load must not stall Acquire() or a concurrent Publish of another tenant.
   ROTOM_TRACE_SPAN("registry.load");
-  auto snapshot = Snapshot::LoadMapped(path);
+  auto snapshot = Snapshot::Load(path);
   if (!snapshot.ok()) return snapshot.status();
   auto session = InferenceSession::Create(snapshot.value(), options_.session);
   if (!session.ok()) return session.status();

@@ -25,7 +25,7 @@ namespace serve {
 ///
 /// Lifecycle verbs:
 ///
-///   Publish  load a snapshot (mmap-backed, Snapshot::LoadMapped) or adopt
+///   Publish  load a snapshot (mmap-backed, Snapshot::Load) or adopt
 ///            an in-memory one under `name`; versions number 1, 2, ... per
 ///            name. The first published version of a name activates
 ///            immediately; later ones are staged until Swap().
@@ -75,7 +75,7 @@ class ModelRegistry {
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// Loads the RSNAP file at `path` through the mmap path and publishes it
+  /// Loads the RSNAP file at `path` (Snapshot::Load) and publishes it
   /// under `name`. Returns the new version id (1-based, monotonic per
   /// name), or an error Status for unreadable/corrupt snapshots. The first
   /// version of a name becomes active immediately; later versions are

@@ -73,7 +73,8 @@ class InferenceSession {
     return Create(snapshot, Options());
   }
 
-  /// Convenience: Snapshot::Load(path) + Create.
+  /// Convenience: Snapshot::Load(path) (the mmap loader that
+  /// ModelRegistry::Publish also uses) + Create.
   static StatusOr<std::unique_ptr<InferenceSession>> Open(
       const std::string& path, const Options& options);
   static StatusOr<std::unique_ptr<InferenceSession>> Open(

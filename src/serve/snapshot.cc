@@ -1,13 +1,7 @@
 #include "serve/snapshot.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -18,88 +12,21 @@ namespace serve {
 
 namespace {
 
-// "RSNAP" + NULs to 8 bytes; distinct from the bare tensor container's
-// "ROTM1" magic so the two formats cannot be confused.
+// "RSNAP" + NULs to 8 bytes.
 constexpr char kMagic[8] = {'R', 'S', 'N', 'A', 'P', '\0', '\0', '\0'};
 
 // FNV-1a 64-bit over the payload bytes: tiny, dependency-free, and plenty to
 // catch truncation/bit-rot (this is an integrity check, not authentication).
-uint64_t Fnv1a64(const char* data, size_t size) {
+uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t hash = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;
   }
   return hash;
 }
 
-// In-memory payload writer. Integers/floats are appended as raw
-// little-endian bytes (the library only targets little-endian hosts).
-class PayloadWriter {
- public:
-  template <typename T>
-  void Pod(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const char* p = reinterpret_cast<const char*>(&value);
-    buffer_.append(p, sizeof(T));
-  }
-
-  void String(const std::string& s) {
-    Pod<uint64_t>(s.size());
-    buffer_.append(s);
-  }
-
-  void Bytes(const void* data, size_t size) {
-    buffer_.append(static_cast<const char*>(data), size);
-  }
-
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-// Bounds-checked payload reader: every accessor returns false once the
-// cursor would run past the end, so corrupt length fields degrade into a
-// Status error instead of out-of-bounds reads or absurd allocations. Reads
-// from a view, so the same parser serves both the buffered Load() path and
-// the in-place LoadMapped() path (where the view covers mmap'd pages).
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload) : payload_(payload) {}
-
-  template <typename T>
-  bool Pod(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (Remaining() < sizeof(T)) return false;
-    std::memcpy(value, payload_.data() + cursor_, sizeof(T));
-    cursor_ += sizeof(T);
-    return true;
-  }
-
-  bool String(std::string* out) {
-    uint64_t size = 0;
-    if (!Pod(&size) || Remaining() < size) return false;
-    out->assign(payload_.data() + cursor_, size);
-    cursor_ += size;
-    return true;
-  }
-
-  bool Bytes(void* data, size_t size) {
-    if (Remaining() < size) return false;
-    std::memcpy(data, payload_.data() + cursor_, size);
-    cursor_ += size;
-    return true;
-  }
-
-  size_t Remaining() const { return payload_.size() - cursor_; }
-
- private:
-  std::string_view payload_;
-  size_t cursor_ = 0;
-};
-
-void WriteConfig(PayloadWriter& w, const models::ClassifierConfig& config) {
+void WriteConfig(ByteWriter& w, const models::ClassifierConfig& config) {
   w.Pod<int64_t>(config.num_classes);
   w.Pod<int64_t>(config.max_len);
   w.Pod<int64_t>(config.dim);
@@ -109,7 +36,7 @@ void WriteConfig(PayloadWriter& w, const models::ClassifierConfig& config) {
   w.Pod<float>(config.dropout);
 }
 
-bool ReadConfig(PayloadReader& r, models::ClassifierConfig* config) {
+bool ReadConfig(ByteReader& r, models::ClassifierConfig* config) {
   return r.Pod(&config->num_classes) && r.Pod(&config->max_len) &&
          r.Pod(&config->dim) && r.Pod(&config->num_heads) &&
          r.Pod(&config->num_layers) && r.Pod(&config->ffn_dim) &&
@@ -119,10 +46,6 @@ bool ReadConfig(PayloadReader& r, models::ClassifierConfig* config) {
 // Weight dtype byte in version-2 weight entries.
 constexpr uint8_t kDtypeF32 = 0;
 constexpr uint8_t kDtypeQ8 = 1;
-
-// Fixed on-disk header: magic, version, payload_size, payload_checksum.
-constexpr size_t kHeaderSize =
-    sizeof(kMagic) + sizeof(uint32_t) + 2 * sizeof(uint64_t);
 
 // out [cols, rows] = in [rows, cols]^T.
 void TransposeInto(const float* in, float* out, int64_t rows, int64_t cols) {
@@ -146,7 +69,7 @@ Status Snapshot::Save(const std::string& path) const {
   if (vocab == nullptr) {
     return Status::Error("snapshot has no vocabulary; nothing to save");
   }
-  PayloadWriter payload;
+  ByteWriter payload;
 
   WriteConfig(payload, config);
 
@@ -173,9 +96,7 @@ Status Snapshot::Save(const std::string& path) const {
   for (const auto& [name, tensor] : weights) {
     payload.String(name);
     if (v2) payload.Pod<uint8_t>(kDtypeF32);
-    payload.Pod<uint64_t>(tensor.shape().size());
-    for (int64_t d : tensor.shape()) payload.Pod<int64_t>(d);
-    payload.Bytes(tensor.data(), sizeof(float) * tensor.size());
+    payload.TensorEntry(tensor);
   }
   for (const auto& [name, qw] : qweights) {
     const quant::QuantizedTensor& qt = qw.tensor;
@@ -190,60 +111,24 @@ Status Snapshot::Save(const std::string& path) const {
     payload.Bytes(qt.data.data(), qt.data.size());
   }
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Error("cannot open " + path + " for writing");
-  out.write(kMagic, sizeof(kMagic));
-  const uint32_t version = v2 ? 2 : 1;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  const uint64_t size = payload.buffer().size();
-  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-  const uint64_t checksum = Fnv1a64(payload.buffer().data(), size);
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.write(payload.buffer().data(), static_cast<std::streamsize>(size));
-  if (!out) return Status::Error("write failed for " + path);
-  return Status::Ok();
+  ByteWriter header;
+  header.Bytes(kMagic, sizeof(kMagic));
+  header.Pod<uint32_t>(v2 ? 2 : 1);
+  header.Pod<uint64_t>(payload.buffer().size());
+  header.Pod<uint64_t>(Fnv1a64(payload.buffer()));
+  return WriteFileAtomic(path, {header.buffer(), payload.buffer()});
 }
 
 namespace {
 
-// Validated header fields, shared by both load paths.
-struct Header {
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint64_t checksum = 0;
-};
-
-// Parses and validates the fixed header at `bytes` (which must hold at
-// least kHeaderSize bytes).
-StatusOr<Header> ParseHeader(const char* bytes, const std::string& path) {
-  if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Error(path + " is not a rotom snapshot (bad magic)");
-  }
-  Header header;
-  std::memcpy(&header.version, bytes + sizeof(kMagic), sizeof(header.version));
-  if (header.version < 1 || header.version > Snapshot::kFormatVersion) {
-    return Status::Error(path + ": unsupported snapshot version " +
-                         std::to_string(header.version) + " (expected 1.." +
-                         std::to_string(Snapshot::kFormatVersion) + ")");
-  }
-  std::memcpy(&header.payload_size,
-              bytes + sizeof(kMagic) + sizeof(header.version),
-              sizeof(header.payload_size));
-  std::memcpy(&header.checksum,
-              bytes + sizeof(kMagic) + sizeof(header.version) +
-                  sizeof(header.payload_size),
-              sizeof(header.checksum));
-  return header;
-}
-
 // Parses a checksum-verified payload into a Snapshot. Any failure here
-// means a writer bug or a hand-edited file that still has a valid checksum;
-// report which section failed rather than aborting. The view may cover a
-// heap buffer (Load) or mmap'd pages (LoadMapped) — the parser never copies
-// the payload as a whole, only the sections it materializes.
-StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
+// means a writer bug or a file that was edited and re-checksummed (the
+// checksum checks integrity, it does not authenticate); report which
+// section failed rather than aborting. `r` reads mmap'd pages in place —
+// the parser never copies the payload as a whole, only the sections it
+// materializes.
+StatusOr<Snapshot> ParsePayload(ByteReader& r, uint32_t version,
                                 const std::string& path) {
-  PayloadReader r(payload);
   Snapshot snapshot;
 
   if (!ReadConfig(r, &snapshot.config)) {
@@ -288,6 +173,11 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
   if (!r.Pod(&num_documents) || !r.Pod(&max_idf) || !r.Pod(&idf_count)) {
     return Status::Error(path + ": snapshot idf section is malformed");
   }
+  // Each entry takes at least 16 bytes (string length + value), which
+  // bounds the reservation below by what the payload holds.
+  if (idf_count > r.remaining() / (sizeof(uint64_t) + sizeof(double))) {
+    return Status::Error(path + ": snapshot idf section is truncated");
+  }
   std::vector<std::pair<std::string, double>> idf_entries;
   idf_entries.reserve(idf_count);
   for (uint64_t i = 0; i < idf_count; ++i) {
@@ -317,31 +207,10 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
                            "' has a malformed header");
     }
     if (dtype == kDtypeF32) {
-      uint64_t ndim = 0;
-      if (!r.Pod(&ndim) || ndim == 0 || ndim > 8) {
-        return Status::Error(path + ": snapshot weight " + std::to_string(i) +
-                             " has a malformed header");
-      }
-      std::vector<int64_t> shape(ndim);
-      uint64_t numel = 1;
-      for (auto& d : shape) {
-        if (!r.Pod(&d) || d < 1 ||
-            numel > UINT64_MAX / static_cast<uint64_t>(d)) {
-          return Status::Error(path + ": snapshot weight '" + name +
-                               "' has a malformed shape");
-        }
-        numel *= static_cast<uint64_t>(d);
-      }
-      // The data must fit in what is actually left of the payload; this
-      // bounds the allocation below before it happens.
-      if (numel > r.Remaining() / sizeof(float)) {
-        return Status::Error(path + ": snapshot weight '" + name +
-                             "' claims more data than the payload holds");
-      }
-      Tensor tensor(std::move(shape));
-      if (!r.Bytes(tensor.data(), sizeof(float) * tensor.size())) {
-        return Status::Error(path + ": snapshot weight '" + name +
-                             "' is truncated");
+      Tensor tensor;
+      if (Status st = r.TensorEntry(&tensor); !st.ok()) {
+        return Status::Error(path + ": snapshot weight '" + name + "': " +
+                             st.message());
       }
       snapshot.weights.emplace_back(std::move(name), std::move(tensor));
     } else if (dtype == kDtypeQ8) {
@@ -358,8 +227,8 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
       const uint64_t cols = static_cast<uint64_t>(qt.cols);
       // Per-row metadata plus the codes must fit in the remaining payload;
       // checked before any allocation sized from the file.
-      if (rows > r.Remaining() / (sizeof(float) + sizeof(int32_t)) ||
-          cols > (r.Remaining() - rows * (sizeof(float) + sizeof(int32_t))) /
+      if (rows > r.remaining() / (sizeof(float) + sizeof(int32_t)) ||
+          cols > (r.remaining() - rows * (sizeof(float) + sizeof(int32_t))) /
                      rows) {
         return Status::Error(path + ": snapshot weight '" + name +
                              "' claims more data than the payload holds");
@@ -379,141 +248,58 @@ StatusOr<Snapshot> ParsePayload(std::string_view payload, uint32_t version,
                            "' has unknown dtype " + std::to_string(dtype));
     }
   }
-  if (r.Remaining() != 0) {
+  if (r.remaining() != 0) {
     return Status::Error(path + ": snapshot has " +
-                         std::to_string(r.Remaining()) +
+                         std::to_string(r.remaining()) +
                          " trailing bytes after the weights section");
   }
   return snapshot;
 }
 
-// Read-only mmap of a whole file; unmaps on destruction.
-class MappedFile {
- public:
-  static StatusOr<MappedFile> Open(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) return Status::Error("cannot open snapshot " + path);
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      return Status::Error("cannot stat snapshot " + path);
-    }
-    const size_t size = static_cast<size_t>(st.st_size);
-    if (size == 0) {
-      ::close(fd);
-      return Status::Error(path + ": truncated snapshot header");
-    }
-    void* data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    // The mapping keeps the pages referenced; the descriptor is not needed
-    // after mmap succeeds (or fails).
-    ::close(fd);
-    if (data == MAP_FAILED) {
-      return Status::Error("mmap failed for snapshot " + path);
-    }
-    return MappedFile(static_cast<const char*>(data), size);
-  }
-
-  MappedFile(MappedFile&& other) noexcept
-      : data_(other.data_), size_(other.size_) {
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  MappedFile& operator=(MappedFile&&) = delete;
-  ~MappedFile() {
-    if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
-  }
-
-  const char* data() const { return data_; }
-  size_t size() const { return size_; }
-
-  // Public only because StatusOr<MappedFile> default-constructs its value
-  // slot; an empty MappedFile maps nothing.
-  MappedFile() = default;
-
- private:
-  MappedFile(const char* data, size_t size) : data_(data), size_(size) {}
-
-  const char* data_ = nullptr;
-  size_t size_ = 0;
-};
-
 }  // namespace
 
 StatusOr<Snapshot> Snapshot::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::Error("cannot open snapshot " + path);
-
-  char header_bytes[kHeaderSize];
-  in.read(header_bytes, sizeof(header_bytes));
-  if (static_cast<size_t>(in.gcount()) < sizeof(kMagic) ||
-      std::memcmp(header_bytes, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Error(path + " is not a rotom snapshot (bad magic)");
-  }
-  if (static_cast<size_t>(in.gcount()) != sizeof(header_bytes)) {
-    return Status::Error(path + ": truncated snapshot header");
-  }
-  auto header = ParseHeader(header_bytes, path);
-  if (!header.ok()) return header.status();
-  const uint64_t payload_size = header.value().payload_size;
-
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (static_cast<uint64_t>(in.gcount()) != payload_size) {
-    return Status::Error(path + ": truncated snapshot payload (expected " +
-                         std::to_string(payload_size) + " bytes, got " +
-                         std::to_string(in.gcount()) + ")");
-  }
-  if (Fnv1a64(payload.data(), payload.size()) != header.value().checksum) {
-    return Status::Error(path + ": snapshot checksum mismatch (corrupt file)");
-  }
-  // The header says the file ends here; anything after it means the file was
-  // appended to (or two snapshots were concatenated) and the checksum no
-  // longer vouches for what a naive reader would consume.
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    return Status::Error(path + ": trailing bytes after snapshot payload");
-  }
-  return ParsePayload(payload, header.value().version, path);
-}
-
-StatusOr<Snapshot> Snapshot::LoadMapped(const std::string& path) {
   auto mapped = MappedFile::Open(path);
   if (!mapped.ok()) return mapped.status();
-  const MappedFile& file = mapped.value();
+  const std::string_view file = mapped.value().bytes();
+  ByteReader r(file);
 
-  if (file.size() < sizeof(kMagic) ||
-      std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
+  char magic[sizeof(kMagic)];
+  if (!r.Bytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Error(path + " is not a rotom snapshot (bad magic)");
   }
-  if (file.size() < kHeaderSize) {
+  uint32_t version = 0;
+  uint64_t payload_size = 0;
+  uint64_t checksum = 0;
+  if (!r.Pod(&version) || !r.Pod(&payload_size) || !r.Pod(&checksum)) {
     return Status::Error(path + ": truncated snapshot header");
   }
-  auto header = ParseHeader(file.data(), path);
-  if (!header.ok()) return header.status();
-  const uint64_t payload_size = header.value().payload_size;
-
-  // Size checks before touching the payload: the mapped extent must hold
-  // exactly header + payload, mirroring Load()'s short-read and
-  // trailing-bytes errors.
-  if (file.size() - kHeaderSize < payload_size) {
+  if (version < 1 || version > kFormatVersion) {
+    return Status::Error(path + ": unsupported snapshot version " +
+                         std::to_string(version) + " (expected 1.." +
+                         std::to_string(kFormatVersion) + ")");
+  }
+  // The file must hold exactly header + payload. Anything after the payload
+  // means the file was appended to (or two snapshots were concatenated),
+  // and the checksum no longer vouches for what a naive reader would
+  // consume.
+  if (r.remaining() < payload_size) {
     return Status::Error(path + ": truncated snapshot payload (expected " +
                          std::to_string(payload_size) + " bytes, got " +
-                         std::to_string(file.size() - kHeaderSize) + ")");
+                         std::to_string(r.remaining()) + ")");
   }
-  if (file.size() - kHeaderSize > payload_size) {
+  if (r.remaining() > payload_size) {
     return Status::Error(path + ": trailing bytes after snapshot payload");
   }
-
-  const std::string_view payload(file.data() + kHeaderSize, payload_size);
-  if (Fnv1a64(payload.data(), payload.size()) != header.value().checksum) {
+  if (Fnv1a64(file.substr(file.size() - payload_size)) != checksum) {
     return Status::Error(path + ": snapshot checksum mismatch (corrupt file)");
   }
   // Parsed in place: strings, IDF doubles, and tensor bytes are read
   // straight out of the mapping (the kernel pages them in on first touch);
   // the mapping is dropped when `mapped` goes out of scope, after the
   // sections that outlive the call have been materialized.
-  return ParsePayload(payload, header.value().version, path);
+  return ParsePayload(r, version, path);
 }
 
 StatusOr<std::unique_ptr<models::TransformerClassifier>> Snapshot::BuildModel()

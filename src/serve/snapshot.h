@@ -43,10 +43,10 @@ namespace serve {
 /// The whole payload is checksummed, so truncation and bit corruption are
 /// detected before any of it is interpreted; Load() returns a Status error
 /// (never CHECK-aborts) for missing files, bad magic, unsupported versions,
-/// short reads, and checksum mismatches. All integers are little-endian
-/// fixed-width, floats/doubles are raw IEEE-754 bytes, so a snapshot
-/// round-trips bit-identically: BuildModel() on a loaded snapshot produces
-/// the same logits, bit for bit, as the model that was saved
+/// short reads, and checksum mismatches. Integers, floats and tensor
+/// entries are encoded by the byte codec in tensor/serialize.h, so a
+/// snapshot round-trips bit-identically: BuildModel() on a loaded snapshot
+/// produces the same logits, bit for bit, as the model that was saved
 /// (serve_test.cc asserts this).
 struct Snapshot {
   /// One int8 row-quantized weight. `tensor` holds the *stored* layout
@@ -74,24 +74,21 @@ struct Snapshot {
   static Snapshot FromModel(const models::TransformerClassifier& model,
                             const text::IdfTable& idf = {});
 
-  /// Writes the snapshot to `path` in the format above.
+  /// Writes the snapshot to `path` in the format above, atomically
+  /// (WriteFileAtomic: "<path>.tmp", then a rename), so a process that has
+  /// `path` mapped keeps reading the old file intact.
   Status Save(const std::string& path) const;
 
-  /// Reads a snapshot written by Save(). Returns an error Status for any
-  /// malformed input instead of aborting.
+  /// Reads a snapshot written by Save(), via mmap(2): the file is mapped
+  /// read-only, the checksum is verified directly over the mapping, and
+  /// every payload section — vocabulary strings, IDF entries, weight bytes —
+  /// is parsed in place from the mapped pages. No staging copy of the
+  /// payload is allocated; weight bytes move exactly once, from the page
+  /// cache into the tensors the model will serve from (the kernels require
+  /// owned, aligned storage — see DESIGN.md §13 for where the zero-copy
+  /// boundary sits). Returns an error Status for any malformed input
+  /// instead of aborting.
   static StatusOr<Snapshot> Load(const std::string& path);
-
-  /// Reads a snapshot via mmap(2) instead of buffered stream I/O: the file
-  /// is mapped read-only, the checksum is verified directly over the
-  /// mapping, and every payload section — vocabulary strings, IDF entries,
-  /// weight bytes — is parsed in place from the mapped pages. Unlike
-  /// Load(), no staging copy of the payload is ever allocated; weight bytes
-  /// move exactly once, from the page cache into the tensors the model will
-  /// serve from (the kernels require owned, aligned storage — see DESIGN.md
-  /// §13 for where the zero-copy boundary sits). Large snapshots are paged
-  /// in lazily by the kernel as the parser walks them. Same error model and
-  /// bit-identical results as Load(); serve::ModelRegistry uses this path.
-  static StatusOr<Snapshot> LoadMapped(const std::string& path);
 
   /// Constructs a classifier from this snapshot and loads the weights into
   /// it (int8 weights are dequantized). Returns an error if the combined

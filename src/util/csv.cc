@@ -31,69 +31,83 @@ std::string QuoteField(const std::string& field) {
   return out;
 }
 
-}  // namespace
-
-StatusOr<CsvTable> ParseCsv(const std::string& text) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
+// Reads one RFC-4180-ish record (quoted fields, embedded commas/newlines,
+// doubled quotes; a \r is dropped outside quotes) of any width. Returns
+// false at end of input. Input that ends without a newline still closes a
+// final record unless nothing but \r was left.
+StatusOr<bool> ReadCsvRecord(std::istream& in,
+                             std::vector<std::string>* record) {
+  std::streambuf& buf = *in.rdbuf();
+  using Traits = std::streambuf::traits_type;
+  record->clear();
   std::string field;
   bool in_quotes = false;
   bool field_started = false;
 
-  auto end_field = [&] {
-    record.push_back(field);
-    field.clear();
-    field_started = false;
-  };
-  auto end_record = [&] {
-    end_field();
-    records.push_back(record);
-    record.clear();
-  };
-
-  for (size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
+  for (int ci = buf.sbumpc(); ci != Traits::eof(); ci = buf.sbumpc()) {
+    const char c = Traits::to_char_type(ci);
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
+      if (c != '"') {
         field += c;
+      } else if (buf.sgetc() == '"') {
+        field += '"';
+        buf.sbumpc();
+      } else {
+        in_quotes = false;
       }
     } else if (c == '"' && !field_started) {
       in_quotes = true;
       field_started = true;
     } else if (c == ',') {
-      end_field();
-    } else if (c == '\r') {
-      // Swallow; \r\n handled by the \n branch.
+      record->push_back(std::move(field));
+      field.clear();
+      field_started = false;
     } else if (c == '\n') {
-      end_record();
-    } else {
+      record->push_back(std::move(field));
+      return true;
+    } else if (c != '\r') {  // \r\n is handled by the \n branch
       field += c;
       field_started = true;
     }
   }
   if (in_quotes) return Status::Error("unterminated quoted field");
-  if (!field.empty() || !record.empty()) end_record();
-  if (records.empty()) return Status::Error("empty CSV input");
+  if (!field_started && record->empty()) return false;
+  record->push_back(std::move(field));
+  return true;
+}
 
+// The one width check of a data row against its header.
+Status CheckWidth(const std::vector<std::string>& row, size_t width,
+                  int64_t row_number) {
+  if (row.size() == width) return Status::Ok();
+  return Status::Error("ragged CSV row " + std::to_string(row_number) +
+                       ": expected " + std::to_string(width) +
+                       " fields, got " + std::to_string(row.size()));
+}
+
+// A header record, then width-checked data rows until end of input.
+StatusOr<CsvTable> ReadCsvTable(std::istream& in) {
   CsvTable table;
-  table.header = records[0];
-  const size_t width = table.header.size();
-  for (size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() != width) {
-      return Status::Error("CSV row " + std::to_string(r) + " has " +
-                           std::to_string(records[r].size()) +
-                           " fields, expected " + std::to_string(width));
-    }
-    table.rows.push_back(std::move(records[r]));
+  auto got = ReadCsvRecord(in, &table.header);
+  if (!got.ok()) return got.status();
+  if (!got.value()) return Status::Error("empty CSV input");
+  std::vector<std::string> row;
+  while (true) {
+    got = ReadCsvRecord(in, &row);
+    if (!got.ok()) return got.status();
+    if (!got.value()) return table;
+    const int64_t row_number = static_cast<int64_t>(table.rows.size()) + 1;
+    if (Status s = CheckWidth(row, table.header.size(), row_number); !s.ok())
+      return s;
+    table.rows.push_back(std::move(row));
   }
-  return table;
+}
+
+}  // namespace
+
+StatusOr<CsvTable> ParseCsv(const std::string& text) {
+  std::istringstream in(text);
+  return ReadCsvTable(in);
 }
 
 std::string WriteCsv(const CsvTable& table) {
@@ -113,9 +127,9 @@ std::string WriteCsv(const CsvTable& table) {
 StatusOr<CsvTable> ReadCsvFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::Error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  auto table = ReadCsvTable(in);
+  if (!table.ok()) return Status::Error(path + ": " + table.status().message());
+  return table;
 }
 
 namespace {
@@ -184,72 +198,21 @@ Status CsvRowReader::Open(const std::string& path) {
   if (!in_) return Status::Error("cannot open " + path);
   open_ = true;
   std::vector<std::string> record;
-  auto got = ReadRecord(&record);
-  if (!got.ok()) return got.status();
-  if (!got.value()) return Status::Error("empty CSV input");
+  auto got = ReadCsvRecord(in_, &record);
+  if (!got.ok()) return Status::Error(path + ": " + got.status().message());
+  if (!got.value()) return Status::Error(path + ": empty CSV input");
   header_ = std::move(record);
   return Status::Ok();
 }
 
-StatusOr<bool> CsvRowReader::ReadRecord(std::vector<std::string>* record) {
-  record->clear();
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-  bool any = false;
-
-  int ci;
-  while ((ci = in_.get()) != std::ifstream::traits_type::eof()) {
-    const char c = static_cast<char>(ci);
-    any = true;
-    if (in_quotes) {
-      if (c == '"') {
-        if (in_.peek() == '"') {
-          field += '"';
-          in_.get();
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && !field_started) {
-      in_quotes = true;
-      field_started = true;
-    } else if (c == ',') {
-      record->push_back(std::move(field));
-      field.clear();
-      field_started = false;
-    } else if (c == '\r') {
-      // Swallow; \r\n handled by the \n branch.
-    } else if (c == '\n') {
-      record->push_back(std::move(field));
-      return true;
-    } else {
-      field += c;
-      field_started = true;
-    }
-  }
-  if (in_quotes) return Status::Error("unterminated quoted field in " + path_);
-  if (!any) return false;
-  // File ended without a trailing newline: the pending field closes the
-  // final record.
-  record->push_back(std::move(field));
-  return true;
-}
-
 StatusOr<bool> CsvRowReader::NextRow(std::vector<std::string>* row) {
   if (!open_) return Status::Error("CsvRowReader: no file open");
-  auto got = ReadRecord(row);
-  if (!got.ok()) return got.status();
+  auto got = ReadCsvRecord(in_, row);
+  if (!got.ok()) return Status::Error(path_ + ": " + got.status().message());
   if (!got.value()) return false;
   ++rows_read_;
-  if (row->size() != header_.size()) {
-    return Status::Error(path_ + ": ragged CSV row " +
-                         std::to_string(rows_read_) + ": expected " +
-                         std::to_string(header_.size()) + " fields, got " +
-                         std::to_string(row->size()));
-  }
+  if (Status s = CheckWidth(*row, header_.size(), rows_read_); !s.ok())
+    return Status::Error(path_ + ": " + s.message());
   return true;
 }
 

@@ -17,13 +17,15 @@ struct CsvTable {
 };
 
 /// Parses RFC-4180-ish CSV text (quoted fields, embedded commas/newlines,
-/// doubled quotes). The first record is taken as the header.
+/// doubled quotes). The first record is taken as the header; a data row of
+/// another width is an error ("ragged CSV row N: expected X fields, got Y";
+/// 1-based data rows).
 StatusOr<CsvTable> ParseCsv(const std::string& text);
 
 /// Serializes a table back to CSV, quoting fields that need it.
 std::string WriteCsv(const CsvTable& table);
 
-/// Reads and parses a CSV file from disk.
+/// Reads and parses a CSV file from disk; errors are prefixed "<path>: ".
 StatusOr<CsvTable> ReadCsvFile(const std::string& path);
 
 /// Reads and parses a CSV file through a process-wide cache keyed by the
@@ -41,12 +43,11 @@ StatusOr<std::shared_ptr<const CsvTable>> ReadCsvFileShared(
 /// Writes a table to disk as CSV.
 Status WriteCsvFile(const std::string& path, const CsvTable& table);
 
-/// Incremental row-at-a-time CSV reader for streaming sources: parses the
-/// same RFC-4180-ish grammar as ParseCsv but holds only the current record
+/// Incremental row-at-a-time CSV reader for streaming sources: parses with
+/// the same record reader as ParseCsv but holds only the current record
 /// in memory, so a source can iterate files larger than RAM and re-open
 /// them for another pass (stream::CsvFileSource). Width is validated per
-/// row against the header with the data::loader error shape ("ragged CSV
-/// row N: expected X fields, got Y"; 1-based data rows).
+/// row against the header with ParseCsv's error, prefixed "<path>: ".
 ///
 /// Thread-safety: a reader is single-threaded; create one per stream stage.
 class CsvRowReader {
@@ -69,9 +70,6 @@ class CsvRowReader {
   int64_t rows_read() const { return rows_read_; }
 
  private:
-  // Reads one raw record (any width); true if a record was produced.
-  StatusOr<bool> ReadRecord(std::vector<std::string>* record);
-
   std::string path_;
   std::ifstream in_;
   bool open_ = false;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/train_checkpoint.h"
 #include "rotom.h"
 
 namespace rotom {
@@ -52,13 +53,15 @@ TEST(CheckpointIntegrationTest, ClassifierSurvivesDiskRoundTrip) {
   models::TransformerClassifier original(config, vocab, rng);
   original.SetTraining(false);
 
-  const std::string path = ::testing::TempDir() + "/classifier_ckpt.bin";
-  ASSERT_TRUE(SaveTensors(path, original.StateDict()).ok());
+  const std::string path = ::testing::TempDir() + "/classifier_ckpt.rtck";
+  core::TrainCheckpoint ckpt;
+  ckpt.tensors() = original.StateDict();
+  ASSERT_TRUE(ckpt.Save(path).ok());
 
   models::TransformerClassifier restored(config, vocab, rng);
-  auto loaded = LoadTensors(path);
-  ASSERT_TRUE(loaded.ok());
-  restored.LoadStateDict(loaded.value());
+  auto loaded = core::TrainCheckpoint::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  restored.LoadStateDict(loaded.value().tensors());
   restored.SetTraining(false);
 
   Rng r1(0), r2(0);

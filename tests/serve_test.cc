@@ -5,8 +5,12 @@
 // under TSan by scripts/check.sh), and the rotom::api facade's spec
 // validation.
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -19,6 +23,7 @@
 #include "data/textcls_gen.h"
 #include "obs/metrics.h"
 #include "rotom/api.h"
+#include "tensor/serialize.h"
 
 namespace rotom {
 namespace {
@@ -89,6 +94,28 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+// RSNAP header: 8-byte magic, u32 version, u64 payload_size at offset 12,
+// u64 FNV-1a payload checksum at offset 20, then the payload.
+constexpr size_t kPayloadSizeOffset = 12;
+constexpr size_t kChecksumOffset = 20;
+constexpr size_t kHeaderSize = 28;
+
+void PutU64(std::string* bytes, size_t offset, uint64_t value) {
+  ASSERT_LE(offset + sizeof(value), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+// Recomputes the payload checksum after an edit, the way a crafted file
+// would: the checksum checks integrity, it does not authenticate.
+void Rechecksum(std::string* bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (size_t i = kHeaderSize; i < bytes->size(); ++i) {
+    hash ^= static_cast<unsigned char>((*bytes)[i]);
+    hash *= 0x100000001b3ULL;
+  }
+  PutU64(bytes, kChecksumOffset, hash);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +224,75 @@ TEST(SnapshotTest, LoadRejectsTruncatedFile) {
   EXPECT_NE(mid_header.status().message().find("truncated"),
             std::string::npos)
       << mid_header.status().message();
+
+  // A header claiming a 2^62-byte payload is checked against the file
+  // size before anything is allocated for it.
+  std::string oversized = bytes;
+  PutU64(&oversized, kPayloadSizeOffset, uint64_t{1} << 62);
+  WriteFileBytes(path, oversized);
+  auto claim = Snapshot::Load(path);
+  ASSERT_FALSE(claim.ok());
+  EXPECT_NE(claim.status().message().find("truncated snapshot payload"),
+            std::string::npos)
+      << claim.status().message();
   std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, LoadRejectsInflatedIdfCount) {
+  const Snapshot snapshot = MakeSnapshot();
+  const std::string path = TempPath("serve_idf_count.rsnap");
+  ASSERT_TRUE(snapshot.Save(path).ok());
+  std::string bytes = ReadFileBytes(path);
+  // Payload: the config (six i64 and one f32), the vocabulary (u64 count,
+  // then one length-prefixed string per token), then the IDF section's
+  // i64 num_documents, f64 max_idf and u64 entry count.
+  size_t offset = kHeaderSize + 6 * sizeof(int64_t) + sizeof(float) +
+                  sizeof(uint64_t);
+  for (int64_t id = 0; id < snapshot.vocab->size(); ++id)
+    offset += sizeof(uint64_t) + snapshot.vocab->Token(id).size();
+  offset += sizeof(int64_t) + sizeof(double);
+  uint64_t idf_count = 0;
+  std::memcpy(&idf_count, bytes.data() + offset, sizeof(idf_count));
+  ASSERT_EQ(idf_count, snapshot.idf.SortedEntries().size());
+
+  PutU64(&bytes, offset, uint64_t{1} << 60);
+  Rechecksum(&bytes);
+  WriteFileBytes(path, bytes);
+  auto result = Snapshot::Load(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("idf section"), std::string::npos)
+      << result.status().message();
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, SaveReplacesTheFileByRename) {
+  const std::string path = TempPath("serve_atomic.rsnap");
+  ASSERT_TRUE(MakeSnapshot(1).Save(path).ok());
+  const std::string old_bytes = ReadFileBytes(path);
+  struct stat before {};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  // A reader holding the old file mapped (ModelRegistry::Publish loads
+  // through such a mapping) must keep seeing it intact.
+  auto mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+
+  ASSERT_TRUE(MakeSnapshot(2).Save(path).ok());
+  struct stat after {};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_NE(before.st_ino, after.st_ino) << "Save rewrote the file in place";
+  EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+  EXPECT_EQ(mapped.value().bytes(), old_bytes);
+  EXPECT_NE(ReadFileBytes(path), old_bytes);
+  EXPECT_TRUE(Snapshot::Load(path).ok());
+  std::remove(path.c_str());
+
+  // A Save into a missing directory fails and leaves nothing behind.
+  const std::string missing = TempPath("serve_no_such_dir/model.rsnap");
+  const Status s = MakeSnapshot().Save(missing);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("cannot open"), std::string::npos) << s.message();
+  EXPECT_NE(::access(missing.c_str(), F_OK), 0);
+  EXPECT_NE(::access((missing + ".tmp").c_str(), F_OK), 0);
 }
 
 TEST(SnapshotTest, LoadDetectsBitCorruptionViaChecksum) {

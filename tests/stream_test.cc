@@ -8,7 +8,9 @@
 // additionally runs this binary under TSan at several pool sizes.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -713,6 +715,26 @@ TEST(ApiResumeTest, TruncatedOrCorruptedCheckpointIsAnError) {
   std::string bad_length = bytes;
   bad_length[6 + 8 + 7] = '\x7f';
   expect_rejected(bad_length, "truncated scalar");
+  // The first tensor's first dim, past the magic, the length-prefixed
+  // scalar keys and values, the tensor count, its name and its rank,
+  // blown up to 2^40: checked against the bytes left before allocating.
+  std::string bad_dim = bytes;
+  const auto u64_at = [&](size_t offset) {
+    uint64_t value = 0;
+    std::memcpy(&value, bad_dim.data() + offset, sizeof(value));
+    return value;
+  };
+  size_t at = 6;
+  const uint64_t num_scalars = u64_at(at);
+  at += 8;
+  for (uint64_t i = 0; i < 2 * num_scalars; ++i) at += 8 + u64_at(at);
+  at += 8;
+  at += 8 + u64_at(at);
+  ASSERT_GE(u64_at(at), 1u);  // the rank
+  at += 8;
+  const uint64_t huge_dim = uint64_t{1} << 40;
+  std::memcpy(bad_dim.data() + at, &huge_dim, sizeof(huge_dim));
+  expect_rejected(bad_dim, "truncated tensor data");
 
   // Every truncation point fails to load cleanly, never aborting.
   for (size_t cut = 0; cut < bytes.size(); cut += 1 + bytes.size() / 97) {

@@ -1,5 +1,6 @@
 #include <cmath>
-#include <fstream>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -174,32 +175,82 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   NamedTensors tensors;
   tensors.emplace_back("embed.weight", Tensor::Randn({5, 4}, rng));
   tensors.emplace_back("head.bias", Tensor::Randn({3}, rng));
-  const std::string path = ::testing::TempDir() + "/rotom_ckpt_test.bin";
-  ASSERT_TRUE(SaveTensors(path, tensors).ok());
-  auto loaded = LoadTensors(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded.value().size(), 2u);
-  EXPECT_EQ(loaded.value()[0].first, "embed.weight");
-  EXPECT_TRUE(loaded.value()[0].second.Equals(tensors[0].second));
-  EXPECT_EQ(loaded.value()[1].first, "head.bias");
-  EXPECT_TRUE(loaded.value()[1].second.Equals(tensors[1].second));
+  ByteWriter out;
+  for (const auto& [name, tensor] : tensors) {
+    out.String(name);
+    out.TensorEntry(tensor);
+  }
+  const std::string path = ::testing::TempDir() + "/rotom_codec_test.bin";
+  ASSERT_TRUE(WriteFileAtomic(path, {out.buffer()}).ok());
+  auto file = MappedFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  EXPECT_EQ(file.value().bytes(), out.buffer());
+
+  ByteReader in(file.value().bytes());
+  for (const auto& [name, tensor] : tensors) {
+    std::string got_name;
+    Tensor got;
+    ASSERT_TRUE(in.String(&got_name));
+    ASSERT_TRUE(in.TensorEntry(&got).ok());
+    EXPECT_EQ(got_name, name);
+    EXPECT_TRUE(got.Equals(tensor));
+  }
+  EXPECT_EQ(in.remaining(), 0u);
+
+  // An empty file maps to an empty view rather than failing mmap.
+  ASSERT_TRUE(WriteFileAtomic(path, {}).ok());
+  auto empty = MappedFile::Open(path);
+  ASSERT_TRUE(empty.ok()) << empty.status().message();
+  EXPECT_TRUE(empty.value().bytes().empty());
+  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, LoadMissingFileFails) {
-  auto loaded = LoadTensors("/nonexistent/rotom.bin");
-  EXPECT_FALSE(loaded.ok());
+  auto loaded = MappedFile::Open("/nonexistent/rotom.bin");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("cannot open"), std::string::npos)
+      << loaded.status().message();
 }
 
-TEST(SerializeTest, LoadRejectsBadMagic) {
-  const std::string path = ::testing::TempDir() + "/rotom_bad_magic.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "NOTROTOM garbage";
-  }
-  auto loaded = LoadTensors(path);
-  EXPECT_FALSE(loaded.ok());
-}
+// Every length and count the reader takes from the bytes is checked against
+// what is left before it allocates: inflated fields become errors.
+TEST(SerializeTest, ReaderRejectsInflatedLengths) {
+  const auto tensor_error = [](const ByteWriter& w) -> std::string {
+    ByteReader in(w.buffer());
+    Tensor t;
+    const Status status = in.TensorEntry(&t);
+    if (status.ok()) return "ok";
+    EXPECT_FALSE(t.defined());  // nothing is handed out on error
+    return status.message();
+  };
+  ByteWriter w;
+  w.Pod<uint64_t>(uint64_t{1} << 62);  // a string length past the end
+  w.Bytes("abc", 3);
+  ByteReader in(w.buffer());
+  std::string s;
+  EXPECT_FALSE(in.String(&s));
 
+  const auto entry = [](std::vector<uint64_t> rank_and_dims,
+                        size_t data_bytes) {
+    ByteWriter w;
+    for (uint64_t v : rank_and_dims) w.Pod<uint64_t>(v);
+    w.Bytes(std::string(data_bytes, '\0').data(), data_bytes);
+    return w;
+  };
+  EXPECT_EQ(tensor_error(entry({0}, 4)), "bad tensor rank");
+  EXPECT_EQ(tensor_error(entry({9, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 4)),
+            "bad tensor rank");
+  EXPECT_EQ(tensor_error(entry({2, 3, 0}, 0)), "bad tensor shape");
+  EXPECT_EQ(tensor_error(entry({2, 3, ~uint64_t{0}}, 0)), "bad tensor shape");
+  EXPECT_EQ(tensor_error(entry({3, 2}, 0)), "bad tensor shape");  // short dims
+  EXPECT_EQ(tensor_error(entry({1, uint64_t{1} << 40}, 64)),
+            "truncated tensor data");
+  // 2^33 * 2^33 overflows u64; the check must not wrap around.
+  EXPECT_EQ(tensor_error(entry({2, uint64_t{1} << 33, uint64_t{1} << 33}, 64)),
+            "truncated tensor data");
+  EXPECT_EQ(tensor_error(entry({2, 2, 3}, 23)), "truncated tensor data");
+  EXPECT_EQ(tensor_error(entry({2, 2, 3}, 24)), "ok");
+}
 
 TEST(BufferPoolTest, RecyclesTensorBuffers) {
   auto& pool = BufferPool::Instance();

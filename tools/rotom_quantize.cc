@@ -20,12 +20,17 @@
 //
 // builds a random classifier in-process, round-trips it through the
 // converter, and verifies (a) the v2 file loads with quantized weights,
-// (b) per-tensor dequantization error is small, and (c) a float session and
-// an int8 session agree on the predicted labels of a query pool. Registered
-// as a ctest (tools_rotom_quantize_selftest).
+// (b) per-tensor dequantization error is small, (c) a float session and
+// an int8 session agree on the predicted labels of a query pool, and (d)
+// converting a corrupt snapshot (a header claiming an oversized payload)
+// fails with the loader's message and exit code 1 instead of aborting.
+// Registered as a ctest (tools_rotom_quantize_selftest).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -176,8 +181,30 @@ int SelfTest() {
     return 1;
   }
   std::printf("selftest: int8 label agreement %zu/%zu\n", agree, pool.size());
-  std::remove(float_path.c_str());
+
+  // The float snapshot with its u64 payload_size (header offset 12)
+  // claiming 2^62 bytes: Convert must report the Status and return 1.
+  const std::string bad_path = "rotom_quantize_selftest_bad.rsnap";
+  std::string bytes;
+  {
+    std::ifstream in(float_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const uint64_t oversized = uint64_t{1} << 62;
+  std::memcpy(bytes.data() + 12, &oversized, sizeof(oversized));
+  {
+    std::ofstream out(bad_path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
   std::remove(int8_path.c_str());
+  if (Convert(bad_path, int8_path, /*report=*/false) != 1 ||
+      std::ifstream(int8_path).good()) {
+    std::fprintf(stderr, "selftest: a corrupt snapshot was converted\n");
+    return 1;
+  }
+  std::printf("selftest: corrupt snapshot rejected\n");
+  std::remove(bad_path.c_str());
+  std::remove(float_path.c_str());
   return 0;
 }
 

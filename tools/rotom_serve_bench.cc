@@ -390,7 +390,7 @@ int Main() {
               qserial_speedup);
 
   // Mixed-tenant registry window. Each tenant publishes v1 (f32, through
-  // the Snapshot::LoadMapped file path — the deployment shape) and v2
+  // the Snapshot::Load file path — the deployment shape) and v2
   // (int8, in-memory); ground-truth labels for both versions are computed
   // on directly pinned sessions before any traffic flows.
   const std::vector<std::string> tenant_names = {"em", "edt", "cls"};
