@@ -92,6 +92,38 @@ void BM_KernelGemmATBShared(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGemmATBShared)->Arg(1)->Arg(2)->Arg(4)->ArgName("threads");
 
+// The f32 GEMMs at the repo benchmark's shapes (bench/suite): a Linear
+// forward over ag_stream's 16x24 token rows at dim 32 and over a full
+// serve_mixed batch (32x64 rows, dim 128), and the Linear weight gradient
+// over em_rotom's 16x56 rows. range(3) is the thread count.
+void BM_KernelGemmAtWorkloadShape(benchmark::State& state, bool transpose_a) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  SetComputeThreads(static_cast<int>(state.range(3)));
+  Rng rng(9);
+  Tensor a = Tensor::Randn({m, k}, rng);
+  Tensor b = Tensor::Randn({transpose_a ? m : k, n}, rng);
+  Tensor c({transpose_a ? k : m, n});
+  for (auto _ : state) {
+    if (transpose_a) {
+      kernels::GemmATB(a.data(), b.data(), c.data(), m, k, n);
+    } else {
+      kernels::GemmAB(a.data(), b.data(), c.data(), m, k, n);
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["flops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 * m * k * n,
+      benchmark::Counter::kIsRate);
+  SetComputeThreads(0);
+}
+BENCHMARK_CAPTURE(BM_KernelGemmAtWorkloadShape, ab, false)
+    ->ArgsProduct({{384}, {32}, {32}, {1, 4}})
+    ->ArgsProduct({{2048}, {128}, {128}, {1, 4}})
+    ->ArgNames({"m", "k", "n", "threads"});
+BENCHMARK_CAPTURE(BM_KernelGemmAtWorkloadShape, atb, true)
+    ->ArgsProduct({{896}, {32}, {32}, {1, 4}})
+    ->ArgNames({"m", "k", "n", "threads"});
+
 void BM_KernelSoftmaxRows(benchmark::State& state) {
   SetComputeThreads(static_cast<int>(state.range(0)));
   constexpr int64_t kRows = 4096, kCols = 128;

@@ -1,9 +1,40 @@
 #include "models/classifier.h"
 
+#include <string>
+
 #include "tensor/kernels.h"
 
 namespace rotom {
 namespace models {
+
+Status ValidateConfig(const ClassifierConfig& config) {
+  const struct {
+    const char* name;
+    int64_t value, min;
+  } sizes[] = {{"num_classes", config.num_classes, 2},
+               {"max_len", config.max_len, 2},  // [CLS] and [SEP]
+               {"dim", config.dim, 1},
+               {"num_heads", config.num_heads, 1},
+               {"num_layers", config.num_layers, 1},
+               {"ffn_dim", config.ffn_dim, 1}};
+  for (const auto& size : sizes) {
+    if (size.value < size.min) {
+      return Status::Error(std::string(size.name) + " must be >= " +
+                           std::to_string(size.min) + ", got " +
+                           std::to_string(size.value));
+    }
+  }
+  if (config.dim % config.num_heads != 0) {
+    return Status::Error("dim " + std::to_string(config.dim) +
+                         " is not divisible by num_heads " +
+                         std::to_string(config.num_heads));
+  }
+  if (!(config.dropout >= 0.0f && config.dropout < 1.0f)) {
+    return Status::Error("dropout must be in [0, 1), got " +
+                         std::to_string(config.dropout));
+  }
+  return Status::Ok();
+}
 
 nn::TransformerConfig EncoderConfigFor(const ClassifierConfig& config,
                                        int64_t vocab_size) {

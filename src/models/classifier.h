@@ -8,6 +8,7 @@
 #include "nn/transformer.h"
 #include "text/tokenizer.h"
 #include "text/vocab.h"
+#include "util/status.h"
 
 namespace rotom {
 namespace models {
@@ -23,6 +24,14 @@ struct ClassifierConfig {
   int64_t ffn_dim = 128;
   float dropout = 0.1f;
 };
+
+/// The one check that a model can be built from `config`: every size is
+/// >= 1, num_classes >= 2, max_len >= 2 ([CLS] and [SEP]), dim divides into
+/// num_heads equal heads, and dropout lies in [0, 1).
+/// The error names the first field that fails.
+/// api::Train runs it on its spec and Snapshot::Load on every file, so a
+/// bad config is a Status there instead of an abort in the model.
+Status ValidateConfig(const ClassifierConfig& config);
 
 /// The target model M of the paper: a transformer encoder (our stand-in for
 /// RoBERTa/DistilBERT/BERT; see DESIGN.md) with a [CLS]-pooled linear head.

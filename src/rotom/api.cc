@@ -1,5 +1,6 @@
 #include "rotom/api.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,27 @@ Status ValidateDataset(const data::TaskDataset& dataset, bool streaming) {
   return Status::Ok();
 }
 
+// The classifier as TaskContext will build it (num_classes comes from the
+// dataset) and the InvDA seq2seq model, through the same check.
+Status ValidateModelConfigs(const eval::ExperimentOptions& options,
+                            int64_t num_classes) {
+  models::ClassifierConfig classifier = options.classifier;
+  classifier.num_classes = num_classes;
+  if (Status s = models::ValidateConfig(classifier); !s.ok())
+    return Status::Error("TrainSpec: options.classifier: " + s.message());
+  const models::Seq2SeqConfig& s2s = options.seq2seq;
+  const models::ClassifierConfig seq2seq{
+      .max_len = std::min(s2s.max_src_len, s2s.max_tgt_len),
+      .dim = s2s.dim,
+      .num_heads = s2s.num_heads,
+      .num_layers = s2s.num_layers,
+      .ffn_dim = s2s.ffn_dim,
+      .dropout = s2s.dropout};
+  if (Status s = models::ValidateConfig(seq2seq); !s.ok())
+    return Status::Error("TrainSpec: options.seq2seq: " + s.message());
+  return Status::Ok();
+}
+
 }  // namespace
 
 StatusOr<TrainReport> Train(const TrainSpec& spec) {
@@ -54,6 +76,10 @@ StatusOr<TrainReport> Train(const TrainSpec& spec) {
   const bool streaming = opened.value().stream != nullptr;
   data::TaskDataset dataset = std::move(opened.value().dataset);
   if (Status s = ValidateDataset(dataset, streaming); !s.ok()) return s;
+  if (Status s = ValidateModelConfigs(spec.options, dataset.num_classes);
+      !s.ok()) {
+    return s;
+  }
   if (dataset.valid.empty()) dataset.valid = dataset.train;
   if (streaming && dataset.valid.empty()) {
     return Status::Error(

@@ -36,8 +36,10 @@ struct Prediction {
 /// Precision: Options::precision selects the float32 forward (the wrapped
 /// TransformerClassifier) or the int8 quantized forward (QuantizedClassifier,
 /// serve/qforward.h), defaulting to whatever the snapshot was exported as.
-/// Both modes answer the same API; the quantized mode trades a bounded
-/// accuracy delta (serve_quant_parity_test) for int8 GEMM throughput.
+/// Both modes answer the same API; the quantized mode stores the linear
+/// weights in a quarter of the bytes at a bounded accuracy cost
+/// (serve_quant_parity_test). It is not the faster mode: EXPERIMENTS.md
+/// "serve bench" has the current f32 and int8 speeds.
 ///
 /// This is the terminal consumer of the encoded-batch path: raw text is
 /// encoded exactly once (cache hit afterwards) and the model only ever sees

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -121,6 +122,36 @@ Status Snapshot::Save(const std::string& path) const {
 
 namespace {
 
+// Whether factors[0] * factors[1] * ... <= limit, without overflow (every
+// factor is >= 1).
+bool ProductAtMost(std::initializer_list<int64_t> factors, uint64_t limit) {
+  uint64_t product = 1;
+  for (const int64_t f : factors) {
+    if (static_cast<uint64_t>(f) > limit / product) return false;
+    product *= static_cast<uint64_t>(f);
+  }
+  return true;
+}
+
+// A model built from `c` holds each of these products as (part of) one or
+// more weights, so none exceeds the weight elements of a file written from
+// it. Bounding them bounds what BuildModel allocates for an edited config
+// by a small multiple of the file's own size.
+bool ConfigFitsWeights(const models::ClassifierConfig& c, int64_t vocab_size,
+                       uint64_t weight_elements) {
+  const int64_t d = c.dim;
+  for (const auto& factors : {std::initializer_list<int64_t>{d, d},
+                              {c.max_len, d},
+                              {c.ffn_dim, d},
+                              {c.num_layers, d, d},
+                              {c.num_layers, c.ffn_dim, d},
+                              {c.num_classes, d},
+                              {vocab_size, d}}) {
+    if (!ProductAtMost(factors, weight_elements)) return false;
+  }
+  return true;
+}
+
 // Parses a checksum-verified payload into a Snapshot. Any failure here
 // means a writer bug or a file that was edited and re-checksummed (the
 // checksum checks integrity, it does not authenticate); report which
@@ -134,10 +165,8 @@ StatusOr<Snapshot> ParsePayload(ByteReader& r, uint32_t version,
   if (!ReadConfig(r, &snapshot.config)) {
     return Status::Error(path + ": snapshot config section is malformed");
   }
-  if (snapshot.config.num_classes < 2 || snapshot.config.max_len < 1 ||
-      snapshot.config.dim < 1 || snapshot.config.num_heads < 1 ||
-      snapshot.config.num_layers < 1 || snapshot.config.ffn_dim < 1) {
-    return Status::Error(path + ": snapshot config has non-positive sizes");
+  if (Status s = models::ValidateConfig(snapshot.config); !s.ok()) {
+    return Status::Error(path + ": snapshot config: " + s.message());
   }
 
   uint64_t vocab_size = 0;
@@ -192,6 +221,7 @@ StatusOr<Snapshot> ParsePayload(ByteReader& r, uint32_t version,
       text::IdfTable::FromParts(std::move(idf_entries), max_idf, num_documents);
 
   uint64_t weight_count = 0;
+  uint64_t weight_elements = 0;  // f32 and int8 entries alike
   if (!r.Pod(&weight_count)) {
     return Status::Error(path + ": snapshot weights section is malformed");
   }
@@ -212,6 +242,7 @@ StatusOr<Snapshot> ParsePayload(ByteReader& r, uint32_t version,
         return Status::Error(path + ": snapshot weight '" + name + "': " +
                              st.message());
       }
+      weight_elements += static_cast<uint64_t>(tensor.size());
       snapshot.weights.emplace_back(std::move(name), std::move(tensor));
     } else if (dtype == kDtypeQ8) {
       Snapshot::QuantizedWeight qw;
@@ -242,6 +273,7 @@ StatusOr<Snapshot> ParsePayload(ByteReader& r, uint32_t version,
         return Status::Error(path + ": snapshot weight '" + name +
                              "' is truncated");
       }
+      weight_elements += rows * cols;
       snapshot.qweights.emplace_back(std::move(name), std::move(qw));
     } else {
       return Status::Error(path + ": snapshot weight '" + name +
@@ -252,6 +284,12 @@ StatusOr<Snapshot> ParsePayload(ByteReader& r, uint32_t version,
     return Status::Error(path + ": snapshot has " +
                          std::to_string(r.remaining()) +
                          " trailing bytes after the weights section");
+  }
+  if (!ConfigFitsWeights(snapshot.config, snapshot.vocab->size(),
+                         weight_elements)) {
+    return Status::Error(path + ": snapshot config sizes exceed the " +
+                         std::to_string(weight_elements) +
+                         " weight elements the file holds");
   }
   return snapshot;
 }

@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <cmath>
+#include <type_traits>
 
 #if defined(ROTOM_SIMD_AVX2)
 #include <immintrin.h>
@@ -60,67 +61,116 @@ inline double HSumD(__m256d v) {
   return _mm_cvtsd_f64(s);
 }
 
-// Same row blocking and k-ascending accumulation order as the scalar core;
-// only the j loop is widened to 8 FMA lanes.
-void GemmABRowRange(const float* a, const float* b, float* c, int64_t i0,
-                    int64_t i1, int64_t k, int64_t n) {
-  for (int64_t l0 = 0; l0 < k; l0 += kTileK) {
-    const int64_t l1 = std::min(k, l0 + kTileK);
-    int64_t i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      const float* a0 = a + (i + 0) * k;
-      const float* a1 = a + (i + 1) * k;
-      const float* a2 = a + (i + 2) * k;
-      const float* a3 = a + (i + 3) * k;
-      float* c0 = c + (i + 0) * n;
-      float* c1 = c + (i + 1) * n;
-      float* c2 = c + (i + 2) * n;
-      float* c3 = c + (i + 3) * n;
-      for (int64_t l = l0; l < l1; ++l) {
-        const __m256 av0 = _mm256_broadcast_ss(a0 + l);
-        const __m256 av1 = _mm256_broadcast_ss(a1 + l);
-        const __m256 av2 = _mm256_broadcast_ss(a2 + l);
-        const __m256 av3 = _mm256_broadcast_ss(a3 + l);
-        const float* br = b + l * n;
-        int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          const __m256 bv = _mm256_loadu_ps(br + j);
-          _mm256_storeu_ps(
-              c0 + j, _mm256_fmadd_ps(av0, bv, _mm256_loadu_ps(c0 + j)));
-          _mm256_storeu_ps(
-              c1 + j, _mm256_fmadd_ps(av1, bv, _mm256_loadu_ps(c1 + j)));
-          _mm256_storeu_ps(
-              c2 + j, _mm256_fmadd_ps(av2, bv, _mm256_loadu_ps(c2 + j)));
-          _mm256_storeu_ps(
-              c3 + j, _mm256_fmadd_ps(av3, bv, _mm256_loadu_ps(c3 + j)));
-        }
-        const float s0 = a0[l], s1 = a1[l], s2 = a2[l], s3 = a3[l];
-        for (; j < n; ++j) {
-          const float bv = br[j];
-          c0[j] += s0 * bv;
-          c1[j] += s1 * bv;
-          c2[j] += s2 * bv;
-          c3[j] += s3 * bv;
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* ar = a + i * k;
-      float* cr = c + i * n;
-      for (int64_t l = l0; l < l1; ++l) {
-        const __m256 av = _mm256_broadcast_ss(ar + l);
-        const float* br = b + l * n;
-        int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          _mm256_storeu_ps(cr + j,
-                           _mm256_fmadd_ps(av, _mm256_loadu_ps(br + j),
-                                           _mm256_loadu_ps(cr + j)));
-        }
-        const float s = ar[l];
-        for (; j < n; ++j) cr[j] += s * br[j];
+// Register-blocked GEMM cores. A block of C (up to 4 rows x 16 columns, the
+// last 8-column vector lane-masked over a ragged column tail) is loaded into
+// ymm registers once, takes every term of its reduction, and is stored once.
+// Each element still receives exactly the serial core's terms in its order,
+// one fma per term (AB: k ascending; ATB: the A/B row ascending, zero A
+// entries skipped), so block shape, ragged edges and the chunk edges that
+// shrink a block change only when C is stored, never what is stored.
+
+// First `w` of 8 lanes on (1 <= w <= 8).
+inline __m256i LaneMask(int64_t w) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// The v-th vector of a block row; in a kMasked block the last one is masked
+// (masked-off lanes load as 0 and are never stored).
+template <int kVecs, bool kMasked>
+inline __m256 LoadVec(const float* p, int v, __m256i mask) {
+  return kMasked && v == kVecs - 1 ? _mm256_maskload_ps(p + 8 * v, mask)
+                                   : _mm256_loadu_ps(p + 8 * v);
+}
+
+template <int kVecs, bool kMasked>
+inline void StoreVec(float* p, int v, __m256i mask, __m256 x) {
+  if (kMasked && v == kVecs - 1) {
+    _mm256_maskstore_ps(p + 8 * v, mask, x);
+  } else {
+    _mm256_storeu_ps(p + 8 * v, x);
+  }
+}
+
+// One block: C[r, cols] += sum over t < len of A(r, t) * B[t, cols], with
+// A(r, t) = a[r * a_rs + t * a_ts], B rows n floats apart from b, C rows n
+// floats apart from c. kSkipZeros drops the terms whose A(r, t) is zero;
+// the blend leaves C exactly as it was, even where B holds inf or NaN. The
+// unroll pragmas keep acc in registers (GCC otherwise may also write it
+// back to the stack every term).
+template <int kRows, int kVecs, bool kMasked, bool kSkipZeros>
+inline void GemmBlock(const float* a, int64_t a_rs, int64_t a_ts,
+                      const float* b, int64_t len, float* c, int64_t n,
+                      __m256i mask) {
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v)
+      acc[r][v] = LoadVec<kVecs, kMasked>(c + r * n, v, mask);
+  for (int64_t t = 0; t < len; ++t) {
+    __m256 bv[kVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v)
+      bv[v] = LoadVec<kVecs, kMasked>(b + t * n, v, mask);
+#pragma GCC unroll 4
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + r * a_rs + t * a_ts);
+      const __m256 skip = _mm256_cmp_ps(av, _mm256_setzero_ps(), _CMP_EQ_OQ);
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        const __m256 sum = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        acc[r][v] = kSkipZeros ? _mm256_blendv_ps(sum, acc[r][v], skip) : sum;
       }
     }
   }
+#pragma GCC unroll 4
+  for (int r = 0; r < kRows; ++r)
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v)
+      StoreVec<kVecs, kMasked>(c + r * n, v, mask, acc[r][v]);
+}
+
+// kRows full rows of C, left to right in 16-, 8- and masked-column blocks.
+template <int kRows, bool kSkipZeros>
+void GemmRowBlock(const float* a, int64_t a_rs, int64_t a_ts, const float* b,
+                  int64_t len, float* c, int64_t n) {
+  int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    GemmBlock<kRows, 2, false, kSkipZeros>(a, a_rs, a_ts, b + j, len, c + j,
+                                           n, __m256i{});
+  }
+  if (j + 8 <= n) {
+    GemmBlock<kRows, 1, false, kSkipZeros>(a, a_rs, a_ts, b + j, len, c + j,
+                                           n, __m256i{});
+    j += 8;
+  }
+  if (j < n) {
+    GemmBlock<kRows, 1, true, kSkipZeros>(a, a_rs, a_ts, b + j, len, c + j, n,
+                                          LaneMask(n - j));
+  }
+}
+
+// Calls fn(rows, r) for row blocks of rows = 4 covering [r0, r1), the last
+// one ragged (rows is a std::integral_constant, usable as a template
+// argument).
+template <typename Fn>
+inline void ForRowBlocks(int64_t r0, int64_t r1, Fn fn) {
+  int64_t r = r0;
+  for (; r + 4 <= r1; r += 4) fn(std::integral_constant<int, 4>{}, r);
+  switch (r1 - r) {
+    case 3: fn(std::integral_constant<int, 3>{}, r); break;
+    case 2: fn(std::integral_constant<int, 2>{}, r); break;
+    case 1: fn(std::integral_constant<int, 1>{}, r); break;
+    default: break;
+  }
+}
+
+void GemmABRowRange(const float* a, const float* b, float* c, int64_t i0,
+                    int64_t i1, int64_t k, int64_t n) {
+  ForRowBlocks(i0, i1, [&](auto rows, int64_t i) {
+    GemmRowBlock<rows, false>(a + i * k, k, 1, b, k, c + i * n, n);
+  });
 }
 
 // Dot products run in 8 accumulator lanes summed in a fixed order, then the
@@ -183,26 +233,10 @@ void GemmABTRowRange(const float* a, const float* b, float* c, int64_t i0,
 
 void GemmATBRowRange(const float* a, const float* b, float* c, int64_t l0,
                      int64_t l1, int64_t m, int64_t k, int64_t n) {
-  for (int64_t lb = l0; lb < l1; lb += kTileL) {
-    const int64_t le = std::min(l1, lb + kTileL);
-    for (int64_t i = 0; i < m; ++i) {
-      const float* ar = a + i * k;
-      const float* br = b + i * n;
-      for (int64_t l = lb; l < le; ++l) {
-        const float av = ar[l];
-        if (av == 0.0f) continue;  // gradients are often sparse (relu, drop)
-        float* cr = c + l * n;
-        const __m256 avv = _mm256_set1_ps(av);
-        int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          _mm256_storeu_ps(cr + j,
-                           _mm256_fmadd_ps(avv, _mm256_loadu_ps(br + j),
-                                           _mm256_loadu_ps(cr + j)));
-        }
-        for (; j < n; ++j) cr[j] += av * br[j];
-      }
-    }
-  }
+  // As in the scalar core, a term whose A entry is zero is skipped.
+  ForRowBlocks(l0, l1, [&](auto rows, int64_t l) {
+    GemmRowBlock<rows, true>(a + l, 1, k, b, m, c + l * n, n);
+  });
 }
 
 // e^v over 8 lanes, the exp behind the AVX2 GELU and softmax. Cody–Waite

@@ -99,6 +99,8 @@ void GeluBackward(const float* x, const float* gy, float* gx, int64_t n);
 // autograd layer both computes forwards (into zeroed buffers) and
 // accumulates gradients. Serial cores are cache-tiled; parallel entry
 // points split output rows (and the batch dimension) across the pool.
+// C must alias neither A nor B: the AVX2 AB/ATB cores hold blocks of C in
+// registers across the whole reduction.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] += A[m,k] * B[k,n].

@@ -8,8 +8,10 @@
 //
 // The contract: every Load returns an error Status or an object — no abort,
 // no uncaught exception, and under scripts/check.sh address no ASan/UBSan
-// report. The budget is fixed (tiny files, a fixed flip count) so the sweep
-// stays in tier-1.
+// report. Every snapshot that loads also builds an f32 and an int8 session
+// (or gets a Status from Create) and serves one request with each. The
+// budget is fixed (tiny files, a fixed flip count) so the sweep stays in
+// tier-1.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -159,8 +161,27 @@ SweepResult Sweep(const std::string& base, const std::string& path,
   return result;
 }
 
-Status LoadSnapshot(const std::string& path) {
-  return serve::Snapshot::Load(path).status();
+// Loads a snapshot mutant and, when it loads, builds an f32 and an int8
+// session from it and classifies one text with each: a config Load accepts
+// must be one a model can be built from, or Create must say why not.
+Status LoadAndServe(const std::string& path) {
+  auto snapshot = serve::Snapshot::Load(path);
+  if (!snapshot.ok()) return snapshot.status();
+  Status first_error = Status::Ok();
+  for (const auto precision : {serve::InferenceSession::Precision::kFloat32,
+                               serve::InferenceSession::Precision::kInt8}) {
+    serve::InferenceSession::Options options;
+    options.cache_rows = 0;
+    options.precision = precision;
+    auto session = serve::InferenceSession::Create(snapshot.value(), options);
+    if (!session.ok()) {
+      if (first_error.ok()) first_error = session.status();
+      continue;
+    }
+    const std::string text = "red blue";
+    EXPECT_EQ(session.value()->PredictBatch({&text, 1}).size(), 1u);
+  }
+  return first_error;
 }
 
 Status LoadCheckpoint(const std::string& path) {
@@ -184,7 +205,7 @@ TEST(DecoderSweepTest, SnapshotV1) {
   ASSERT_TRUE(TinySnapshot().Save(path).ok());
   const std::string base = ReadBytes(path);
   ASSERT_EQ(base[8], 1);  // format version 1
-  const SweepResult result = Sweep(base, path, LoadSnapshot, true, 11);
+  const SweepResult result = Sweep(base, path, LoadAndServe, true, 11);
   EXPECT_GT(result.loads, 5000);
   ExpectParserReached(result);
 }
@@ -196,7 +217,7 @@ TEST(DecoderSweepTest, SnapshotV2) {
   ASSERT_TRUE(quantized.value().Save(path).ok());
   const std::string base = ReadBytes(path);
   ASSERT_EQ(base[8], 2);  // format version 2
-  const SweepResult result = Sweep(base, path, LoadSnapshot, true, 12);
+  const SweepResult result = Sweep(base, path, LoadAndServe, true, 12);
   EXPECT_GT(result.loads, 5000);
   ExpectParserReached(result);
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -122,20 +123,206 @@ TEST_F(KernelsTest, BatchedGemmATBSharedOutputSumsBatches) {
   ExpectAllNear(c, ref, 1e-3f);
 }
 
+// 3 threads put chunk edges inside the AVX2 cores' 4-row register blocks:
+// 990 rows split into chunks of 83 (AB, ABT, shared-output ATB), and 990
+// output rows of the 2-D ATB into chunks of 122.
 TEST_F(KernelsTest, GemmBitIdenticalAcrossThreadCounts) {
-  constexpr int64_t kBatch = 3;
+  constexpr int64_t kBatch = 3, kRows = 990;
   const auto a = RandVec(kBatch * kM * kK, 13), b = RandVec(kK * kN, 14);
-  auto run = [&](int threads) {
-    SetComputeThreads(threads);
-    std::vector<float> c(kBatch * kM * kN, 0.0f);
-    kernels::BatchedGemmAB(a.data(), b.data(), c.data(), kBatch, kM, kK, kN, 0);
-    return c;
-  };
-  const auto serial = run(1);
-  const auto quad = run(4);
-  for (size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], quad[i]) << "element " << i;
+  const auto tall = RandVec(kRows * kK, 15), wide = RandVec(kM * kRows, 16);
+  const auto bt = RandVec(kN * kK, 17), bb = RandVec(kBatch * kM * kN, 18);
+  const auto deep = RandVec(kBatch * kM * kRows, 19);
+  const std::vector<std::pair<const char*, std::function<std::vector<float>()>>>
+      gemms = {
+          {"BatchedGemmAB",
+           [&] {
+             std::vector<float> c(kBatch * kM * kN, 0.0f);
+             kernels::BatchedGemmAB(a.data(), b.data(), c.data(), kBatch, kM,
+                                    kK, kN, 0);
+             return c;
+           }},
+          {"GemmAB",
+           [&] {
+             std::vector<float> c(kRows * kN, 0.5f);
+             kernels::GemmAB(tall.data(), b.data(), c.data(), kRows, kK, kN);
+             return c;
+           }},
+          {"GemmABT",
+           [&] {
+             std::vector<float> c(kRows * kN, 0.5f);
+             kernels::GemmABT(tall.data(), bt.data(), c.data(), kRows, kK, kN);
+             return c;
+           }},
+          {"GemmATB",
+           [&] {
+             std::vector<float> c(kRows * kN, 0.5f);
+             kernels::GemmATB(wide.data(), bb.data(), c.data(), kM, kRows, kN);
+             return c;
+           }},
+          {"BatchedGemmATB shared output",
+           [&] {
+             std::vector<float> c(kRows * kN, 0.5f);
+             kernels::BatchedGemmATB(deep.data(), bb.data(), c.data(), kBatch,
+                                     kM, kRows, kN, /*c_stride=*/0);
+             return c;
+           }},
+      };
+  for (const auto& [name, run] : gemms) {
+    SetComputeThreads(1);
+    const auto serial = run();
+    for (int threads : {3, 4}) {
+      SetComputeThreads(threads);
+      const auto parallel = run();
+      for (size_t i = 0; i < serial.size(); ++i)
+        ASSERT_EQ(serial[i], parallel[i])
+            << name << " threads=" << threads << " element " << i;
+    }
+  }
 }
+
+// ---------------------------------------------------------------------------
+// The AVX2 GEMM order contract (DESIGN.md section 7): every element of
+// GemmAB / GemmATB and their batched forms is the documented chain of
+// single-rounding fmas onto the starting C, compared on bits. AB adds
+// a[i,l] * b[l,j] for l ascending. ATB adds a[i,l] * b[i,j] for i ascending
+// and skips a term whose A entry is zero, so a zero A entry facing an
+// infinite B entry leaves C unchanged in ATB but makes it NaN in AB. NaN
+// payloads are not part of the contract: a NaN matches any NaN.
+// ---------------------------------------------------------------------------
+
+struct GemmShape {
+  int64_t m, k, n;
+};
+
+std::string ShapeName(const ::testing::TestParamInfo<GemmShape>& info) {
+  return "m" + std::to_string(info.param.m) + "k" +
+         std::to_string(info.param.k) + "n" + std::to_string(info.param.n);
+}
+
+// Normal entries with every fifth one an exact zero (signed zeros alike).
+std::vector<float> WithZeros(int64_t size, uint64_t seed) {
+  auto v = RandVec(size, seed);
+  for (int64_t i = 0; i < size; i += 5) v[i] = i % 10 == 0 ? 0.0f : -0.0f;
+  return v;
+}
+
+// Normal entries with +inf and -inf in the first row (row length `cols`).
+std::vector<float> WithInfs(int64_t rows, int64_t cols, uint64_t seed) {
+  auto v = RandVec(rows * cols, seed);
+  v[0] = std::numeric_limits<float>::infinity();
+  if (cols > 2) v[cols - 1] = -std::numeric_limits<float>::infinity();
+  return v;
+}
+
+void ChainAB(const float* a, const float* b, float* c, int64_t m, int64_t k,
+             int64_t n) {
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < n; ++j)
+      for (int64_t l = 0; l < k; ++l)
+        c[i * n + j] = std::fma(a[i * k + l], b[l * n + j], c[i * n + j]);
+}
+
+void ChainATB(const float* a, const float* b, float* c, int64_t m, int64_t k,
+              int64_t n) {
+  for (int64_t l = 0; l < k; ++l)
+    for (int64_t j = 0; j < n; ++j)
+      for (int64_t i = 0; i < m; ++i)
+        if (a[i * k + l] != 0.0f)
+          c[l * n + j] = std::fma(a[i * k + l], b[i * n + j], c[l * n + j]);
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    uint32_t g, w;
+    std::memcpy(&g, &got[i], sizeof(g));
+    std::memcpy(&w, &want[i], sizeof(w));
+    ASSERT_EQ(g, w) << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+class GemmOrderTest : public ::testing::TestWithParam<GemmShape> {
+ protected:
+  void SetUp() override {
+    if (std::string(kernels::SimdFlavorName()) != "avx2")
+      GTEST_SKIP() << "the fma-chain order is the avx2 flavor's contract";
+  }
+  void TearDown() override { SetComputeThreads(0); }
+};
+
+TEST_P(GemmOrderTest, GemmABIsAnFmaChainOverK) {
+  const auto [m, k, n] = GetParam();
+  const auto a = WithZeros(m * k, 41), b = WithInfs(k, n, 42);
+  std::vector<float> c = RandVec(m * n, 43), want = c;
+  kernels::GemmAB(a.data(), b.data(), c.data(), m, k, n);
+  ChainAB(a.data(), b.data(), want.data(), m, k, n);
+  ExpectSameBits(c, want);
+}
+
+TEST_P(GemmOrderTest, GemmATBIsAnFmaChainOverRowsSkippingZeros) {
+  const auto [m, k, n] = GetParam();
+  const auto a = WithZeros(m * k, 44), b = WithInfs(m, n, 45);
+  std::vector<float> c = RandVec(k * n, 46), want = c;
+  kernels::GemmATB(a.data(), b.data(), c.data(), m, k, n);
+  ChainATB(a.data(), b.data(), want.data(), m, k, n);
+  ExpectSameBits(c, want);
+}
+
+TEST_P(GemmOrderTest, BatchedGemmABSharedAndPerSliceB) {
+  const auto [m, k, n] = GetParam();
+  constexpr int64_t kBatch = 3;
+  const auto a = WithZeros(kBatch * m * k, 47);
+  const auto b = WithInfs(kBatch * k, n, 48);
+  for (const int64_t b_stride : {int64_t{0}, k * n}) {
+    std::vector<float> c = RandVec(kBatch * m * n, 49), want = c;
+    kernels::BatchedGemmAB(a.data(), b.data(), c.data(), kBatch, m, k, n,
+                           b_stride);
+    for (int64_t s = 0; s < kBatch; ++s)
+      ChainAB(a.data() + s * m * k, b.data() + s * b_stride,
+              want.data() + s * m * n, m, k, n);
+    ExpectSameBits(c, want);
+  }
+}
+
+TEST_P(GemmOrderTest, BatchedGemmATBPerSliceAndSharedOutput) {
+  const auto [m, k, n] = GetParam();
+  constexpr int64_t kBatch = 3;
+  const auto a = WithZeros(kBatch * m * k, 50);
+  const auto b = WithInfs(kBatch * m, n, 51);
+  for (const int64_t c_stride : {k * n, int64_t{0}}) {
+    const int64_t slices = c_stride == 0 ? 1 : kBatch;
+    std::vector<float> c = RandVec(slices * k * n, 52), want = c;
+    kernels::BatchedGemmATB(a.data(), b.data(), c.data(), kBatch, m, k, n,
+                            c_stride);
+    // Shared output: slices in ascending order, each an ascending row chain.
+    for (int64_t s = 0; s < kBatch; ++s)
+      ChainATB(a.data() + s * m * k, b.data() + s * m * n,
+               want.data() + s * c_stride, m, k, n);
+    ExpectSameBits(c, want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkloadShapes, GemmOrderTest,
+    ::testing::Values(GemmShape{16, 32, 2},      // classifier head
+                      GemmShape{384, 32, 32},    // ag_stream Linear
+                      GemmShape{384, 32, 64},    // ag_stream FFN up
+                      GemmShape{896, 64, 32},    // em_rotom FFN down
+                      GemmShape{56, 56, 16},     // attention P.V, one head
+                      GemmShape{2048, 128, 128}, // serve_mixed Linear
+                      GemmShape{64, 64, 32}),    // serve_mixed P.V, one head
+    ShapeName);
+
+INSTANTIATE_TEST_SUITE_P(
+    RaggedShapes, GemmOrderTest,
+    ::testing::Values(GemmShape{1, 1, 1}, GemmShape{3, 5, 7},
+                      GemmShape{5, 9, 15}, GemmShape{6, 3, 17},
+                      GemmShape{7, 17, 23}, GemmShape{13, 8, 9},
+                      GemmShape{37, 71, 29}, GemmShape{33, 15, 31},
+                      GemmShape{10, 16, 33}),
+    ShapeName);
 
 TEST_F(KernelsTest, SoftmaxRowsNormalizes) {
   constexpr int64_t kRows = 11, kCols = 23;
@@ -420,10 +607,6 @@ TEST_F(KernelsTest, GeluAndSoftmaxPropagateNaN) {
 // reassociate across FMA lanes); the int8 GEMM must be bit-identical.
 // ---------------------------------------------------------------------------
 
-struct GemmShape {
-  int64_t m, k, n;
-};
-
 class KernelFlavorTest : public ::testing::TestWithParam<GemmShape> {
  protected:
   void TearDown() override { SetComputeThreads(0); }
@@ -520,10 +703,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{8, 16, 8},      // exact SIMD multiples
                       GemmShape{37, 71, 29},    // ragged overhangs
                       GemmShape{64, 33, 130}),  // tails in every loop
-    [](const ::testing::TestParamInfo<GemmShape>& info) {
-      return "m" + std::to_string(info.param.m) + "k" +
-             std::to_string(info.param.k) + "n" + std::to_string(info.param.n);
-    });
+    ShapeName);
 
 TEST(KernelFlavorNameTest, ReportsABuiltInFlavor) {
   const std::string flavor = kernels::SimdFlavorName();

@@ -238,6 +238,46 @@ TEST(SnapshotTest, LoadRejectsTruncatedFile) {
   std::remove(path.c_str());
 }
 
+// A snapshot edited and re-checksummed to dim 6 with 4 heads: no model can
+// be built from it (the f32 attention constructor would abort, the int8
+// forward would run with head_dim 1), so Load refuses it and neither
+// session is built.
+TEST(SnapshotTest, LoadRejectsHeadsThatDoNotDivideDim) {
+  Snapshot snapshot = MakeSnapshot();
+  snapshot.config.dim = 6;
+  snapshot.config.num_heads = 4;
+  const std::string path = TempPath("serve_bad_heads.rsnap");
+  ASSERT_TRUE(snapshot.Save(path).ok());  // Save writes the checksum
+  auto result = Snapshot::Load(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "snapshot config: dim 6 is not divisible by num_heads 4"),
+            std::string::npos)
+      << result.status().message();
+  for (const auto precision : {InferenceSession::Precision::kFloat32,
+                               InferenceSession::Precision::kInt8}) {
+    InferenceSession::Options options;
+    options.precision = precision;
+    EXPECT_FALSE(InferenceSession::Open(path, options).ok());
+  }
+  std::remove(path.c_str());
+}
+
+// Sizes no larger than the weights the file holds: a huge max_len must not
+// reach BuildModel, which would allocate the position table from it.
+TEST(SnapshotTest, LoadRejectsConfigLargerThanItsWeights) {
+  Snapshot snapshot = MakeSnapshot();
+  snapshot.config.max_len = int64_t{1} << 40;
+  const std::string path = TempPath("serve_huge_max_len.rsnap");
+  ASSERT_TRUE(snapshot.Save(path).ok());
+  auto result = Snapshot::Load(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("snapshot config sizes exceed"),
+            std::string::npos)
+      << result.status().message();
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, LoadRejectsInflatedIdfCount) {
   const Snapshot snapshot = MakeSnapshot();
   const std::string path = TempPath("serve_idf_count.rsnap");
@@ -747,6 +787,42 @@ TEST(ApiTest, TrainRejectsOutOfRangeLabels) {
   auto report = api::Train(spec);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("label"), std::string::npos)
+      << report.status().message();
+}
+
+// Model configs no model can be built from are a Status from Train, not
+// an abort in the attention constructor or in ops::Dropout.
+TEST(ApiTest, TrainRejectsHeadsThatDoNotDivideDim) {
+  api::TrainSpec spec;
+  spec.source = data::DataSource::Inline(TinyApiDataset());
+  spec.options = TinyApiOptions();
+  spec.options.classifier.dim = 32;
+  spec.options.classifier.num_heads = 3;
+  auto report = api::Train(spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find(
+                "options.classifier: dim 32 is not divisible by num_heads 3"),
+            std::string::npos)
+      << report.status().message();
+
+  spec.options = TinyApiOptions();
+  spec.options.seq2seq.num_heads = 5;
+  report = api::Train(spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("options.seq2seq: dim"),
+            std::string::npos)
+      << report.status().message();
+}
+
+TEST(ApiTest, TrainRejectsDropoutOfOne) {
+  api::TrainSpec spec;
+  spec.source = data::DataSource::Inline(TinyApiDataset());
+  spec.options = TinyApiOptions();
+  spec.options.classifier.dropout = 1.0f;
+  auto report = api::Train(spec);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("dropout must be in [0, 1)"),
+            std::string::npos)
       << report.status().message();
 }
 

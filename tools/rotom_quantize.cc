@@ -14,7 +14,8 @@
 // --report prints one row per tensor: whether it was quantized, the stored
 // shape, and the max / mean absolute dequantization error against the f32
 // original — the offline view of the accuracy the serving path trades for
-// int8 throughput (serve_quant_parity_test bounds the end-task cost).
+// int8 storage, a quarter of the f32 bytes per linear weight
+// (serve_quant_parity_test bounds the end-task cost).
 //
 //   rotom_quantize selftest
 //

@@ -12,8 +12,9 @@
 //
 // Both modes run twice: once against the float model and once against an
 // int8 model built by quantizing the same snapshot (DESIGN.md §12), so
-// BENCH_serve.json carries the quantized-serving qps uplift
-// (speedup_vs_f32_serial) next to the micro-batching speedup. The two
+// BENCH_serve.json carries the int8/f32 qps ratio (speedup_vs_f32_serial;
+// below 1 when int8 is the slower mode, see EXPERIMENTS.md "serve bench")
+// next to the micro-batching speedup. The two
 // models are published into a ModelRegistry as tenants "f32" and "int8";
 // each serial window pins the very session its server window serves
 // (ModelRegistry::Acquire).
