@@ -7,7 +7,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "augment/ops.h"
@@ -123,6 +125,37 @@ BENCHMARK_CAPTURE(BM_KernelGemmAtWorkloadShape, ab, false)
 BENCHMARK_CAPTURE(BM_KernelGemmAtWorkloadShape, atb, true)
     ->ArgsProduct({{896}, {32}, {32}, {1, 4}})
     ->ArgNames({"m", "k", "n", "threads"});
+
+// The cost of one ParallelFor dispatch: an empty body over 4 chunks, so the
+// time is the pool's handoff alone. range(0) is the pool size (1 runs
+// inline); range(1) an idle gap before each dispatch, excluded from the
+// time: 0 dispatches back to back while the workers still spin, 1000 µs
+// lets them park first (ThreadPool::kSpinWindow is shorter).
+void BM_ThreadPoolDispatch(benchmark::State& state) {
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  const std::chrono::microseconds gap(state.range(1));
+  for (auto _ : state) {
+    if (gap.count() > 0) std::this_thread::sleep_for(gap);
+    const auto start = std::chrono::steady_clock::now();
+    pool.ParallelFor(4, 1, [](int64_t begin, int64_t end) {
+      benchmark::DoNotOptimize(begin + end);
+    });
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  }
+}
+BENCHMARK(BM_ThreadPoolDispatch)
+    ->ArgsProduct({{1, 2, 4}, {0}})
+    ->ArgNames({"threads", "gap_us"})
+    ->UseManualTime();
+// A fixed count: the timed part is microseconds, so a min_time budget would
+// run the 1-ms gap millions of times.
+BENCHMARK(BM_ThreadPoolDispatch)
+    ->ArgsProduct({{1, 2, 4}, {1000}})
+    ->ArgNames({"threads", "gap_us"})
+    ->UseManualTime()
+    ->Iterations(300);
 
 void BM_KernelSoftmaxRows(benchmark::State& state) {
   SetComputeThreads(static_cast<int>(state.range(0)));

@@ -22,18 +22,22 @@ namespace kernels {
 
 // ---------------------------------------------------------------------------
 // Grain-size policy. ParallelFor grains are chosen so a chunk amortizes the
-// pool's wake/claim overhead: roughly kGrainWork scalar operations per
-// chunk. Callers pass the per-row cost; RowGrain converts it to rows.
+// pool's dispatch: roughly kGrainWork scalar operations per chunk. Callers
+// pass the per-row cost; RowGrain converts it to rows.
 //
-// The floor is deliberately high (~256k flops). The original 32k floor made
-// bench-scale GEMMs scale *negatively* with pool size (BENCH_micro.json:
-// GemmABT 2897 -> 2622 steps/sec from 1 -> 4 threads): chunks finished in a
-// few microseconds, below the pool's wake/claim handoff, so extra threads
-// only added overhead — and the SIMD flavors shrink per-chunk wall time a
-// further 2-8x. Raising the floor makes small problems single-chunk (they
-// run inline, paying nothing) without changing results: chunk boundaries
-// never affect per-element accumulation order, so numerics are invariant to
-// grain size by construction.
+// The floor (~256k flops) is several microseconds of one core's AVX2 GEMM.
+// An empty 4-chunk dispatch costs about 1 µs while the workers still poll
+// after the previous job, and once they have parked it pays a
+// condition-variable wake, 4.5 µs at 2 threads and 15-200 µs at 4 on a
+// 4-core x86 VM (BM_ThreadPoolDispatch), so a much smaller chunk would
+// spend as long in the handoff as in its math. The original 32k floor made
+// bench-scale GEMMs scale *negatively* with pool size, back when every
+// dispatch woke sleeping workers. A high floor makes small problems
+// single-chunk (they run inline, paying nothing) without changing results:
+// chunk boundaries never affect per-element accumulation order, so
+// numerics are invariant to grain size by construction. The floor is
+// shared by every kernel; now that a dispatch is cheap, a per-kernel grain
+// is worth re-measuring (ROADMAP.md).
 // ---------------------------------------------------------------------------
 
 inline constexpr int64_t kGrainWork = 1 << 18;       // ~256k flops per chunk

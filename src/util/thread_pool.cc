@@ -1,9 +1,12 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <system_error>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -58,14 +61,13 @@ ThreadPool::ThreadPool(int num_threads)
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+    shutdown_.store(true);
   }
   wake_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-int64_t ThreadPool::RunChunks(uint64_t generation,
-                              const std::function<void(int64_t, int64_t)>* body,
+int64_t ThreadPool::RunChunks(uint64_t generation, const Body* body,
                               int64_t total, int64_t chunk,
                               int64_t num_chunks) {
   ScopedParallelRegion region;
@@ -91,38 +93,47 @@ int64_t ThreadPool::RunChunks(uint64_t generation,
   return completed;
 }
 
-void ThreadPool::WorkerLoop() {
-  uint64_t seen_generation = 0;
+uint64_t ThreadPool::AwaitJob(uint64_t seen) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
   for (;;) {
-    const std::function<void(int64_t, int64_t)>* body;
-    uint64_t generation;
-    int64_t total, chunk, num_chunks;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      wake_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      generation = generation_;
-      body = body_;
-      total = total_;
-      chunk = chunk_;
-      num_chunks = num_chunks_;
-    }
+    if (shutdown_.load(std::memory_order_relaxed)) return 0;
+    const uint64_t generation = generation_.load(std::memory_order_acquire);
+    if (generation != seen) return generation;
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    // Yield rather than pause: a spinning worker must give its core to any
+    // other runnable thread (a server's request threads, say) at once.
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  sleepers_.fetch_add(1);
+  wake_cv_.wait(lock, [&] {
+    return shutdown_.load() || generation_.load() != seen;
+  });
+  sleepers_.fetch_sub(1);
+  if (shutdown_.load()) return 0;
+  return generation_.load(std::memory_order_acquire);
+}
+
+void ThreadPool::WorkerLoop() {
+  uint64_t seen = 0;
+  for (;;) {
+    const uint64_t generation = AwaitJob(seen);
+    if (generation == 0) return;
+    seen = generation;
+    // These fields may already belong to a newer job; its tag in claim_
+    // then differs from `generation` and RunChunks claims nothing.
+    const Body* body = body_.load(std::memory_order_acquire);
+    const int64_t total = total_.load(std::memory_order_acquire);
+    const int64_t chunk = chunk_.load(std::memory_order_acquire);
+    const int64_t num_chunks = num_chunks_.load(std::memory_order_acquire);
     const int64_t completed =
         RunChunks(generation, body, total, chunk, num_chunks);
-    if (completed > 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_chunks_ += completed;
-      if (done_chunks_ == num_chunks) done_cv_.notify_all();
-    }
+    if (completed > 0)
+      done_chunks_.fetch_add(completed, std::memory_order_release);
   }
 }
 
-void ThreadPool::ParallelFor(
-    int64_t total, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body) {
+void ThreadPool::ParallelFor(int64_t total, int64_t grain, const Body& body) {
   if (total <= 0) return;
   grain = std::max<int64_t>(1, grain);
   if (num_threads_ == 1 || total <= grain || InParallelRegion()) {
@@ -150,25 +161,27 @@ void ThreadPool::ParallelFor(
   ParallelForCounter().Add(1);
 
   std::lock_guard<std::mutex> dispatch(dispatch_mu_);
-  uint64_t generation;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    generation = ++generation_;
-    body_ = &body;
-    total_ = total;
-    chunk_ = chunk;
-    num_chunks_ = num_chunks;
-    done_chunks_ = 0;
-    claim_.store(generation << kChunkBits, std::memory_order_relaxed);
+  // Every chunk of the previous job was counted before its caller returned,
+  // so no worker still adds to done_chunks_ when it is reset here.
+  const uint64_t generation =
+      generation_.load(std::memory_order_relaxed) + 1;
+  claim_.store(generation << kChunkBits, std::memory_order_relaxed);
+  body_.store(&body, std::memory_order_release);
+  total_.store(total, std::memory_order_release);
+  chunk_.store(chunk, std::memory_order_release);
+  num_chunks_.store(num_chunks, std::memory_order_release);
+  done_chunks_.store(0, std::memory_order_relaxed);
+  generation_.store(generation);
+  if (sleepers_.load() > 0) {
+    { std::lock_guard<std::mutex> lock(mu_); }
+    wake_cv_.notify_all();
   }
-  wake_cv_.notify_all();
 
   const int64_t completed =
       RunChunks(generation, &body, total, chunk, num_chunks);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_chunks_ += completed;
-  done_cv_.wait(lock, [&] { return done_chunks_ == num_chunks_; });
-  body_ = nullptr;
+  done_chunks_.fetch_add(completed, std::memory_order_acq_rel);
+  while (done_chunks_.load(std::memory_order_acquire) != num_chunks)
+    std::this_thread::yield();
 }
 
 namespace {
@@ -183,18 +196,21 @@ GlobalPool& GlobalPoolState() {
   return *state;
 }
 
+// The largest pool ROTOM_NUM_THREADS may ask for. Beyond a few threads per
+// core a larger pool only adds dispatch cost, and a typo such as "100000"
+// would otherwise start that many threads.
+int MaxEnvThreads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return 4 * static_cast<int>(std::max(1u, hw));
+}
+
 int ResolveAutoThreads(const char** source) {
-  const char* env = std::getenv("ROTOM_NUM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    const int parsed = std::atoi(env);
-    if (parsed > 0) {
+  if (const char* env = std::getenv("ROTOM_NUM_THREADS"); env != nullptr) {
+    const ThreadCountSetting setting = ParseThreadCount(env, MaxEnvThreads());
+    if (!setting.warning.empty()) ROTOM_LOG(Warning) << setting.warning;
+    if (setting.threads > 0) {
       *source = "ROTOM_NUM_THREADS";
-      return parsed;
-    }
-    // "0" explicitly requests automatic sizing; anything else is a mistake.
-    if (std::string_view(env) != "0") {
-      ROTOM_LOG(Warning) << "ignoring invalid ROTOM_NUM_THREADS=\"" << env
-                         << "\" (want a non-negative integer)";
+      return setting.threads;
     }
   }
   *source = "hardware_concurrency";
@@ -211,6 +227,28 @@ void LogPoolSizeOnce(int threads, const char* source) {
 }
 
 }  // namespace
+
+ThreadCountSetting ParseThreadCount(std::string_view value, int max_threads) {
+  ThreadCountSetting setting;
+  if (value.empty()) return setting;
+  const std::string quoted =
+      "ROTOM_NUM_THREADS=\"" + std::string(value) + "\"";
+  int parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ptr != end || value.front() == '-') {
+    setting.warning = "ignoring invalid " + quoted +
+                      " (want a non-negative integer); sizing automatically";
+    return setting;
+  }
+  if (ec == std::errc::result_out_of_range || parsed > max_threads) {
+    setting.warning = "clamping " + quoted + " to the maximum of " +
+                      std::to_string(max_threads) + " threads";
+    parsed = max_threads;
+  }
+  setting.threads = parsed;
+  return setting;
+}
 
 ThreadPool& ComputePool() {
   GlobalPool& state = GlobalPoolState();
