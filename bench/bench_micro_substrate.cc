@@ -294,7 +294,7 @@ void BM_KernelQLinearVsFloat(benchmark::State& state) {
     } else {
       std::fill_n(y.data(), kM * kOut, 0.0f);  // GemmABT accumulates
       kernels::GemmABT(x.data(), w.data(), y.data(), kM, kIn, kOut);
-      kernels::BroadcastAddRows(y.data(), bias.data(), kM, kOut);
+      kernels::BroadcastAddRows(y.data(), bias.data(), y.data(), kM, kOut);
     }
     benchmark::DoNotOptimize(y.data());
   }

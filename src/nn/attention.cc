@@ -9,7 +9,7 @@ namespace nn {
 
 Tensor MaskToAttentionBias(const Tensor& mask) {
   ROTOM_CHECK_EQ(mask.dim(), 2);
-  Tensor bias(mask.shape());
+  Tensor bias = Tensor::Uninitialized(mask.shape());
   kernels::Map(mask.data(), bias.data(), mask.size(),
                [](float m) { return m > 0.5f ? 0.0f : -1e9f; });
   return bias;

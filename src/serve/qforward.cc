@@ -180,10 +180,14 @@ Tensor QuantizedClassifier::Logits(const text::EncodedBatch& batch) const {
   }
   ROTOM_CHECK_EQ(flags->size(), batch.ids.size());
 
+  // Every scratch buffer below is written in full before it is read, so it
+  // comes from the tensor buffer pool without the zero fill; the pool also
+  // recycles it across calls.
+
   // Embedding sum: token + position (broadcast over the batch) + overlap
   // flag, then the embedding layer norm. All f32 gathers — see the header
   // for why embeddings are never quantized.
-  std::vector<float> x(static_cast<size_t>(n * d));
+  Tensor x = Tensor::Uninitialized({n * d});
   {
     const float* tok = token_emb_.data();
     const float* pos = pos_emb_.data();
@@ -204,28 +208,28 @@ Tensor QuantizedClassifier::Logits(const text::EncodedBatch& batch) const {
 
   // Scratch shared across layers. The layer-norm kernel also emits xhat and
   // inv_std (backward-pass byproducts); they are dead here but cheap.
-  std::vector<float> y(static_cast<size_t>(n * d));
-  std::vector<float> xhat(static_cast<size_t>(n * d));
-  std::vector<float> inv_std(static_cast<size_t>(n));
+  Tensor y = Tensor::Uninitialized({n * d});
+  Tensor xhat = Tensor::Uninitialized({n * d});
+  Tensor inv_std = Tensor::Uninitialized({n});
   kernels::LayerNormRows(x.data(), emb_norm_gamma_.data(),
                          emb_norm_beta_.data(), kLayerNormEps, y.data(),
                          xhat.data(), inv_std.data(), n, d);
   std::swap(x, y);
 
   // key_bias[b,s]: 0 where attendable, -1e9 where padded (MaskToAttentionBias).
-  std::vector<float> key_bias(static_cast<size_t>(n));
+  Tensor key_bias = Tensor::Uninitialized({n});
   {
     const float* mask = batch.mask.data();
-    for (int64_t i = 0; i < n; ++i)
-      key_bias[static_cast<size_t>(i)] = mask[i] > 0.5f ? 0.0f : -1e9f;
+    float* kb = key_bias.data();
+    for (int64_t i = 0; i < n; ++i) kb[i] = mask[i] > 0.5f ? 0.0f : -1e9f;
   }
 
-  std::vector<float> proj(static_cast<size_t>(n * d));
-  std::vector<float> heads_a(static_cast<size_t>(n * d));
-  std::vector<float> heads_b(static_cast<size_t>(n * d));
-  std::vector<float> heads_c(static_cast<size_t>(n * d));
-  std::vector<float> scores(static_cast<size_t>(b * h * t * t));
-  std::vector<float> hidden(static_cast<size_t>(n * f));
+  Tensor proj = Tensor::Uninitialized({n * d});
+  Tensor heads_a = Tensor::Uninitialized({n * d});
+  Tensor heads_b = Tensor::Uninitialized({n * d});
+  Tensor heads_c = Tensor::Uninitialized({n * d});
+  Tensor scores = Tensor::Uninitialized({b * h * t * t});
+  Tensor hidden = Tensor::Uninitialized({n * f});
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
   // [B,T,d] row-major -> per-(batch, head) contiguous [B*H, T, dh] slices so
@@ -252,9 +256,9 @@ Tensor QuantizedClassifier::Logits(const text::EncodedBatch& batch) const {
     layer.v.Apply(x.data(), proj.data(), n);
     split_heads(proj.data(), heads_c.data());
 
-    std::fill(scores.begin(), scores.end(), 0.0f);
     kernels::BatchedGemmABT(heads_a.data(), heads_b.data(), scores.data(),
-                            b * h, t, dh, t, t * dh);
+                            b * h, t, dh, t, t * dh,
+                            kernels::OutputMode::kWrite);
     {
       float* sp = scores.data();
       const float* kb = key_bias.data();
@@ -266,9 +270,9 @@ Tensor QuantizedClassifier::Logits(const text::EncodedBatch& batch) const {
     }
     kernels::SoftmaxRows(scores.data(), scores.data(), b * h * t, t);
 
-    std::fill(heads_a.begin(), heads_a.end(), 0.0f);
     kernels::BatchedGemmAB(scores.data(), heads_c.data(), heads_a.data(),
-                           b * h, t, t, dh, t * dh);
+                           b * h, t, t, dh, t * dh,
+                           kernels::OutputMode::kWrite);
     {  // merge heads: [B*H, T, dh] -> [B*T, d]
       const float* src = heads_a.data();
       float* dst = heads_b.data();
@@ -304,12 +308,12 @@ Tensor QuantizedClassifier::Logits(const text::EncodedBatch& batch) const {
   }
 
   // CLS rows (t == 0) -> head.
-  std::vector<float> cls(static_cast<size_t>(b * d));
+  Tensor cls = Tensor::Uninitialized({b * d});
   for (int64_t bi = 0; bi < b; ++bi) {
     std::memcpy(cls.data() + bi * d, x.data() + bi * t * d,
                 sizeof(float) * static_cast<size_t>(d));
   }
-  Tensor logits({b, config_.num_classes});
+  Tensor logits = Tensor::Uninitialized({b, config_.num_classes});
   head_.Apply(cls.data(), logits.data(), b);
   return logits;
 }

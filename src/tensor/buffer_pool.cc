@@ -29,6 +29,11 @@ obs::Counter& DroppedCounter() {
   static obs::Counter& counter = obs::GetCounter("buffer_pool.dropped");
   return counter;
 }
+obs::Counter& ZeroFilledBytesCounter() {
+  static obs::Counter& counter =
+      obs::GetCounter("buffer_pool.zero_filled_bytes");
+  return counter;
+}
 obs::Gauge& CachedBytesGauge() {
   static obs::Gauge& gauge = obs::GetGauge("buffer_pool.cached_bytes");
   return gauge;
@@ -62,16 +67,31 @@ BufferPool& BufferPool::Instance() {
 }
 
 std::shared_ptr<std::vector<float>> BufferPool::Acquire(int64_t numel) {
+  return AcquireBuffer(numel, /*zero_fill=*/true);
+}
+
+std::shared_ptr<std::vector<float>> BufferPool::AcquireUninitialized(
+    int64_t numel) {
+  return AcquireBuffer(numel, /*zero_fill=*/false);
+}
+
+std::shared_ptr<std::vector<float>> BufferPool::AcquireBuffer(int64_t numel,
+                                                              bool zero_fill) {
   ROTOM_CHECK_GE(numel, 0);
   const size_t n = static_cast<size_t>(numel);
   std::unique_ptr<std::vector<float>> buffer;
   if (n > 0) {
     const size_t bin = BinIndex(n);
+    // Elements this acquire writes zeros into: all n when it fills, else
+    // only what resize() value-initializes past the buffer's old size (all
+    // n for a fresh allocation).
+    size_t zeroed = n;
     std::lock_guard<std::mutex> lock(mu_);
     if (!bins_[bin].empty()) {
       buffer = std::move(bins_[bin].back());
       bins_[bin].pop_back();
       cached_bytes_ -= buffer->capacity() * sizeof(float);
+      if (!zero_fill) zeroed = n > buffer->size() ? n - buffer->size() : 0;
       ++stats_.reused;
       ReusedCounter().Add(1);
       CachedBytesGauge().Set(static_cast<int64_t>(cached_bytes_));
@@ -79,15 +99,24 @@ std::shared_ptr<std::vector<float>> BufferPool::Acquire(int64_t numel) {
       ++stats_.allocated;
       AllocatedCounter().Add(1);
     }
+    if (zeroed > 0) {
+      stats_.zero_filled_bytes += zeroed * sizeof(float);
+      ZeroFilledBytesCounter().Add(zeroed * sizeof(float));
+    }
   }
   if (buffer == nullptr) {
     buffer = std::make_unique<std::vector<float>>();
     if (n > 0) buffer->reserve(size_t{1} << BinIndex(n));
   }
-  // assign() both sizes the buffer and restores the zero-initialized state
-  // Tensor's constructor promises; a recycled buffer's capacity is already
-  // the bin's class size, so this never reallocates.
-  buffer->assign(n, 0.0f);
+  // A recycled buffer's capacity is already the bin's class size, so
+  // neither call reallocates. assign() restores the zero-initialized state
+  // Tensor's constructor promises; resize() keeps the old elements and
+  // value-initializes only those past the old size.
+  if (zero_fill) {
+    buffer->assign(n, 0.0f);
+  } else {
+    buffer->resize(n);
+  }
   std::vector<float>* raw = buffer.release();
   return std::shared_ptr<std::vector<float>>(
       raw, [](std::vector<float>* b) { BufferPool::Instance().Release(b); });

@@ -618,6 +618,12 @@ void ForBatchedRowRange(int64_t r0, int64_t r1, int64_t rows_per_batch,
   }
 }
 
+// Write mode of the GEMM entry points: zeroes rows [r0, r1) of a C whose
+// rows are `cols` floats apart, just before a core accumulates into them.
+inline void ZeroRows(float* c, int64_t r0, int64_t r1, int64_t cols) {
+  std::fill(c + r0 * cols, c + r1 * cols, 0.0f);
+}
+
 }  // namespace
 
 const char* SimdFlavorName() {
@@ -655,35 +661,43 @@ void GemmATB(const float* a, const float* b, float* c, int64_t m, int64_t k,
 }
 
 void BatchedGemmAB(const float* a, const float* b, float* c, int64_t batch,
-                   int64_t m, int64_t k, int64_t n, int64_t b_stride) {
+                   int64_t m, int64_t k, int64_t n, int64_t b_stride,
+                   OutputMode out) {
   ComputePool().ParallelFor(
       batch * m, RowGrain(2 * k * n), [&](int64_t r0, int64_t r1) {
         ForBatchedRowRange(r0, r1, m, [&](int64_t s, int64_t i0, int64_t i1) {
-          active::GemmABRowRange(a + s * m * k, b + s * b_stride,
-                                 c + s * m * n, i0, i1, k, n);
+          float* cs = c + s * m * n;
+          if (out == OutputMode::kWrite) ZeroRows(cs, i0, i1, n);
+          active::GemmABRowRange(a + s * m * k, b + s * b_stride, cs, i0, i1,
+                                 k, n);
         });
       });
 }
 
 void BatchedGemmABT(const float* a, const float* b, float* c, int64_t batch,
-                    int64_t m, int64_t k, int64_t n, int64_t b_stride) {
+                    int64_t m, int64_t k, int64_t n, int64_t b_stride,
+                    OutputMode out) {
   ComputePool().ParallelFor(
       batch * m, RowGrain(2 * k * n), [&](int64_t r0, int64_t r1) {
         ForBatchedRowRange(r0, r1, m, [&](int64_t s, int64_t i0, int64_t i1) {
-          active::GemmABTRowRange(a + s * m * k, b + s * b_stride,
-                                  c + s * m * n, i0, i1, k, n);
+          float* cs = c + s * m * n;
+          if (out == OutputMode::kWrite) ZeroRows(cs, i0, i1, n);
+          active::GemmABTRowRange(a + s * m * k, b + s * b_stride, cs, i0,
+                                  i1, k, n);
         });
       });
 }
 
 void BatchedGemmATB(const float* a, const float* b, float* c, int64_t batch,
-                    int64_t m, int64_t k, int64_t n, int64_t c_stride) {
+                    int64_t m, int64_t k, int64_t n, int64_t c_stride,
+                    OutputMode out) {
   if (c_stride == 0 && batch > 1) {
     // Shared output: every batch accumulates into the same [k,n] buffer, so
     // the batch loop must stay inside each row range (fixed ascending
     // order), and only output rows are parallelized.
     ComputePool().ParallelFor(
         k, RowGrain(2 * batch * m * n), [&](int64_t l0, int64_t l1) {
+          if (out == OutputMode::kWrite) ZeroRows(c, l0, l1, n);
           for (int64_t s = 0; s < batch; ++s) {
             active::GemmATBRowRange(a + s * m * k, b + s * m * n, c, l0, l1,
                                     m, k, n);
@@ -694,8 +708,10 @@ void BatchedGemmATB(const float* a, const float* b, float* c, int64_t batch,
   ComputePool().ParallelFor(
       batch * k, RowGrain(2 * m * n), [&](int64_t r0, int64_t r1) {
         ForBatchedRowRange(r0, r1, k, [&](int64_t s, int64_t l0, int64_t l1) {
-          active::GemmATBRowRange(a + s * m * k, b + s * m * n,
-                                  c + s * c_stride, l0, l1, m, k, n);
+          float* cs = c + s * c_stride;
+          if (out == OutputMode::kWrite) ZeroRows(cs, l0, l1, n);
+          active::GemmATBRowRange(a + s * m * k, b + s * m * n, cs, l0, l1, m,
+                                  k, n);
         });
       });
 }
@@ -831,11 +847,12 @@ void AccumulateRows(const float* x, float* acc, int64_t rows, int64_t cols) {
   });
 }
 
-void BroadcastAddRows(float* y, const float* bias, int64_t rows,
-                      int64_t cols) {
+void BroadcastAddRows(const float* x, const float* bias, float* y,
+                      int64_t rows, int64_t cols) {
   ParallelRows(rows, cols, [&](int64_t r) {
+    const float* xr = x + r * cols;
     float* yr = y + r * cols;
-    for (int64_t j = 0; j < cols; ++j) yr[j] += bias[j];
+    for (int64_t j = 0; j < cols; ++j) yr[j] = xr[j] + bias[j];
   });
 }
 

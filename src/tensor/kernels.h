@@ -98,13 +98,26 @@ void GeluBackward(const float* x, const float* gy, float* gx, int64_t n);
 
 }  // namespace scalar
 
+/// How a kernel that produces a buffer treats what the buffer holds.
+/// kAccumulate adds into it, so it must hold valid values; kWrite never
+/// reads it. A kWrite kernel gives exactly the bits kAccumulate gives on a
+/// zero-filled buffer: every element starts from +0 and takes the same
+/// terms in the same order. The autograd layer writes forward outputs and
+/// gradients that do not exist yet, and accumulates into gradients that do.
+enum class OutputMode {
+  kAccumulate,
+  kWrite,
+};
+
 // ---------------------------------------------------------------------------
-// GEMM. All variants *accumulate* into C (C += ...), matching how the
-// autograd layer both computes forwards (into zeroed buffers) and
-// accumulates gradients. Serial cores are cache-tiled; parallel entry
-// points split output rows (and the batch dimension) across the pool.
-// C must alias neither A nor B: the AVX2 AB/ATB cores hold blocks of C in
-// registers across the whole reduction.
+// GEMM. Every variant accumulates into C (C += ..., the default) or writes
+// it (C = ...), as its OutputMode says. In write mode each chunk zeroes its
+// own rows of C just before its core runs, so the fill is parallel and the
+// rows are cache-hot; the core then runs exactly as on a zeroed buffer, in
+// every flavor. Serial cores are cache-tiled; parallel entry points split
+// output rows (and the batch dimension) across the pool. C must alias
+// neither A nor B: the AVX2 AB/ATB cores hold blocks of C in registers
+// across the whole reduction.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] += A[m,k] * B[k,n].
@@ -119,25 +132,29 @@ void GemmABT(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void GemmATB(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n);
 
-/// `batch` independent C[s] += A[s] * B[s] problems with contiguous slices
-/// A[s] = a + s*m*k, C[s] = c + s*m*n and B[s] = b + s*b_stride. Pass
+/// `batch` independent C[s] (+)= A[s] * B[s] problems with contiguous
+/// slices A[s] = a + s*m*k, C[s] = c + s*m*n and B[s] = b + s*b_stride. Pass
 /// b_stride == 0 to share one [k,n] B across the batch (e.g. a linear layer
 /// weight). Parallelism covers batch * m output rows.
 void BatchedGemmAB(const float* a, const float* b, float* c, int64_t batch,
-                   int64_t m, int64_t k, int64_t n, int64_t b_stride);
+                   int64_t m, int64_t k, int64_t n, int64_t b_stride,
+                   OutputMode out = OutputMode::kAccumulate);
 
-/// Batched C[s][m,n] += A[s][m,k] * B[s]^T with B[s] = b + s*b_stride of
+/// Batched C[s][m,n] (+)= A[s][m,k] * B[s]^T with B[s] = b + s*b_stride of
 /// shape [n,k]; b_stride == 0 shares B. The attention-score kernel
 /// (Q . K^T) without materializing K^T.
 void BatchedGemmABT(const float* a, const float* b, float* c, int64_t batch,
-                    int64_t m, int64_t k, int64_t n, int64_t b_stride);
+                    int64_t m, int64_t k, int64_t n, int64_t b_stride,
+                    OutputMode out = OutputMode::kAccumulate);
 
-/// Batched C[s][k,n] += A[s][m,k]^T * B[s][m,n] with C[s] = c + s*c_stride.
-/// Pass c_stride == 0 to accumulate every batch into ONE shared [k,n]
-/// output (the gradient of a shared right operand): batches are then summed
-/// in fixed ascending order per output row, never split across threads.
+/// Batched C[s][k,n] (+)= A[s][m,k]^T * B[s][m,n] with C[s] = c +
+/// s*c_stride. Pass c_stride == 0 to accumulate every batch into ONE shared
+/// [k,n] output (the gradient of a shared right operand): batches are then
+/// summed in fixed ascending order per output row, never split across
+/// threads, and write mode zeroes each row once before the first batch.
 void BatchedGemmATB(const float* a, const float* b, float* c, int64_t batch,
-                    int64_t m, int64_t k, int64_t n, int64_t c_stride);
+                    int64_t m, int64_t k, int64_t n, int64_t c_stride,
+                    OutputMode out = OutputMode::kAccumulate);
 
 // ---------------------------------------------------------------------------
 // Elementwise kernels (header templates so lambdas inline into the loop).
@@ -169,14 +186,21 @@ void ZipMap(const float* x, const float* y, float* out, int64_t n, F fn) {
                             });
 }
 
-/// acc[i] += fn(x[i], y[i]) — the shape of most backward lambdas.
+/// acc[i] += fn(x[i], y[i]) — the shape of most backward lambdas. In write
+/// mode acc[i] = 0.0f + fn(x[i], y[i]): the sum a zeroed acc would hold,
+/// without reading acc.
 template <typename F>
 void ZipAccumulate(const float* x, const float* y, float* acc, int64_t n,
-                   F fn) {
+                   F fn, OutputMode mode = OutputMode::kAccumulate) {
   ComputePool().ParallelFor(n, kElementwiseGrain,
                             [&](int64_t begin, int64_t end) {
-                              for (int64_t i = begin; i < end; ++i)
-                                acc[i] += fn(x[i], y[i]);
+                              if (mode == OutputMode::kWrite) {
+                                for (int64_t i = begin; i < end; ++i)
+                                  acc[i] = 0.0f + fn(x[i], y[i]);
+                              } else {
+                                for (int64_t i = begin; i < end; ++i)
+                                  acc[i] += fn(x[i], y[i]);
+                              }
                             });
 }
 
@@ -255,8 +279,10 @@ void LayerNormParamGradRows(const float* gy, const float* xhat, float* ggamma,
 /// Columns are partitioned across threads; each column sums rows in order.
 void AccumulateRows(const float* x, float* acc, int64_t rows, int64_t cols);
 
-/// y[r,j] += bias[j] for every row (forward of a broadcast bias add).
-void BroadcastAddRows(float* y, const float* bias, int64_t rows, int64_t cols);
+/// y[r,j] = x[r,j] + bias[j] for every row (forward of a broadcast add);
+/// y == x is allowed.
+void BroadcastAddRows(const float* x, const float* bias, float* y,
+                      int64_t rows, int64_t cols);
 
 /// out[i,:] = table[ids[i],:] (row gather; ids validated by the caller).
 void GatherRows(const float* table, const int64_t* ids, float* out, int64_t n,

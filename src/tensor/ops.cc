@@ -71,12 +71,44 @@ std::vector<int64_t> MatMulOutShape(const std::vector<int64_t>& as, int64_t m,
   return out_shape;
 }
 
+// Where a backward kernel puts its result in `p`'s gradient. A gradient that
+// does not exist yet is acquired without the zero fill and written (kWrite
+// gives the bits a zeroed buffer plus += would); an existing one is
+// accumulated into. Leaves included: their sums still start at +0.
+struct GradTarget {
+  float* data;
+  kernels::OutputMode mode;
+};
+
+GradTarget GradOut(VariableImpl& p) {
+  if (p.grad.defined()) {
+    return {p.grad.data(), kernels::OutputMode::kAccumulate};
+  }
+  p.grad = Tensor::Uninitialized(p.value.shape());
+  return {p.grad.data(), kernels::OutputMode::kWrite};
+}
+
+// Passes `g` through to `p`'s gradient unchanged. An interior node with no
+// gradient yet takes `g` itself — no new buffer, no copy — and from then on
+// the buffer is `p`'s: `p`'s other consumers accumulate into it. Pass
+// `may_take` false when the op itself will still add into `p`'s gradient
+// while reading `g` (both operands are one node). A leaf keeps its
+// zero-filled gradient, so its sum starts at +0 (DESIGN.md §7, "Who writes
+// a buffer first").
+void PassGrad(VariableImpl& p, const Tensor& g, bool may_take = true) {
+  if (may_take && !p.grad.defined() && p.backward_fn) {
+    p.grad = g;
+    return;
+  }
+  p.MutableGrad().AddInPlace(g);
+}
+
 }  // namespace
 
 Tensor SoftmaxRows(const Tensor& logits) {
   const int64_t c = logits.size(-1);
   const int64_t rows = logits.size() / c;
-  Tensor out(logits.shape());
+  Tensor out = Tensor::Uninitialized(logits.shape());
   kernels::SoftmaxRows(logits.data(), out.data(), rows, c);
   return out;
 }
@@ -104,7 +136,7 @@ Tensor TransposeCopy(const Tensor& in, int64_t d0, int64_t d1) {
   const int64_t di = in.size(d0);
   const int64_t dj = in.size(d1);
 
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   const float* src = in.data();
   float* dst = out.data();
   // One "row" per (outer, i, mid) triple; each copies dj*inner elements.
@@ -125,13 +157,15 @@ Variable Add(const Variable& a, const Variable& b) {
   const auto& as = a.value().shape();
   const auto& bs = b.value().shape();
   ROTOM_CHECK_MSG(IsSuffixShape(as, bs), "Add: b must match a's trailing dims");
-  Tensor out = a.value().Clone();
+  Tensor out = Tensor::Uninitialized(as);
   const int64_t nb = b.value().size();
   const int64_t reps = out.size() / nb;
-  kernels::BroadcastAddRows(out.data(), b.value().data(), reps, nb);
+  kernels::BroadcastAddRows(a.value().data(), b.value().data(), out.data(),
+                            reps, nb);
   ImplPtr pa = a.impl(), pb = b.impl();
   return MakeNode(std::move(out), {pa, pb}, [pa, pb, nb, reps](VariableImpl& n) {
-    if (pa->requires_grad) pa->MutableGrad().AddInPlace(n.grad);
+    // When pb is the same node, its term below still reads n.grad.
+    if (pa->requires_grad) PassGrad(*pa, n.grad, /*may_take=*/pa != pb);
     if (pb->requires_grad) {
       kernels::AccumulateRows(n.grad.data(), pb->MutableGrad().data(), reps,
                               nb);
@@ -141,18 +175,21 @@ Variable Add(const Variable& a, const Variable& b) {
 
 Variable Sub(const Variable& a, const Variable& b) {
   ROTOM_CHECK(SameShape(a, b));
-  Tensor out = a.value().Clone();
-  out.AddScaled(b.value(), -1.0f);
+  Tensor out = Tensor::Uninitialized(a.value().shape());
+  // x - y rounds as the fma(-1, y, x) of an Axpy onto a copy of a did.
+  kernels::ZipMap(a.value().data(), b.value().data(), out.data(), out.size(),
+                  [](float x, float y) { return x - y; });
   ImplPtr pa = a.impl(), pb = b.impl();
   return MakeNode(std::move(out), {pa, pb}, [pa, pb](VariableImpl& n) {
-    if (pa->requires_grad) pa->MutableGrad().AddInPlace(n.grad);
+    // When pb is the same node, its term below still reads n.grad.
+    if (pa->requires_grad) PassGrad(*pa, n.grad, /*may_take=*/pa != pb);
     if (pb->requires_grad) pb->MutableGrad().AddScaled(n.grad, -1.0f);
   });
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   ROTOM_CHECK(SameShape(a, b));
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   const int64_t num = out.size();
   kernels::ZipMap(a.value().data(), b.value().data(), out.data(), num,
                   [](float x, float y) { return x * y; });
@@ -162,34 +199,45 @@ Variable Mul(const Variable& a, const Variable& b) {
                   [pa, pb, av, bv, num](VariableImpl& n) {
                     const float* g = n.grad.data();
                     if (pa->requires_grad) {
+                      const GradTarget ga = GradOut(*pa);
                       kernels::ZipAccumulate(
-                          g, bv.data(), pa->MutableGrad().data(), num,
-                          [](float gi, float y) { return gi * y; });
+                          g, bv.data(), ga.data, num,
+                          [](float gi, float y) { return gi * y; }, ga.mode);
                     }
                     if (pb->requires_grad) {
+                      const GradTarget gb = GradOut(*pb);
                       kernels::ZipAccumulate(
-                          g, av.data(), pb->MutableGrad().data(), num,
-                          [](float gi, float x) { return gi * x; });
+                          g, av.data(), gb.data, num,
+                          [](float gi, float x) { return gi * x; }, gb.mode);
                     }
                   });
 }
 
 Variable Scale(const Variable& a, float c) {
-  Tensor out = a.value().Clone();
-  out.Scale(c);
+  Tensor out = Tensor::Uninitialized(a.value().shape());
+  kernels::Map(a.value().data(), out.data(), out.size(),
+               [c](float x) { return x * c; });
   ImplPtr pa = a.impl();
   return MakeNode(std::move(out), {pa}, [pa, c](VariableImpl& n) {
-    if (pa->requires_grad) pa->MutableGrad().AddScaled(n.grad, c);
+    if (!pa->requires_grad) return;
+    if (pa->grad.defined()) {
+      pa->grad.AddScaled(n.grad, c);
+      return;
+    }
+    // A fresh gradient: 0 + c·g, the sum the Axpy onto zeros would give.
+    pa->grad = Tensor::Uninitialized(pa->value.shape());
+    kernels::Map(n.grad.data(), pa->grad.data(), n.grad.size(),
+                 [c](float g) { return 0.0f + g * c; });
   });
 }
 
 Variable AddScalar(const Variable& a, float c) {
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::Map(a.value().data(), out.data(), out.size(),
                [c](float x) { return x + c; });
   ImplPtr pa = a.impl();
   return MakeNode(std::move(out), {pa}, [pa](VariableImpl& n) {
-    if (pa->requires_grad) pa->MutableGrad().AddInPlace(n.grad);
+    if (pa->requires_grad) PassGrad(*pa, n.grad);
   });
 }
 
@@ -201,9 +249,9 @@ Variable MatMul(const Variable& a, const Variable& b) {
   const bool shared_b = s.shared_b;
   const int64_t b_stride = shared_b ? 0 : k * n;
 
-  Tensor out(MatMulOutShape(as, m, n));
+  Tensor out = Tensor::Uninitialized(MatMulOutShape(as, m, n));
   kernels::BatchedGemmAB(a.value().data(), b.value().data(), out.data(), batch,
-                         m, k, n, b_stride);
+                         m, k, n, b_stride, kernels::OutputMode::kWrite);
   ImplPtr pa = a.impl(), pb = b.impl();
   Tensor av = a.value(), bv = b.value();
   return MakeNode(
@@ -212,13 +260,15 @@ Variable MatMul(const Variable& a, const Variable& b) {
         const float* g = node.grad.data();
         if (pa->requires_grad) {
           // dA[s] += dC[s] * B[s]^T, with B[s] of shape [k,n].
-          kernels::BatchedGemmABT(g, bv.data(), pa->MutableGrad().data(),
-                                  batch, m, n, k, b_stride);
+          const GradTarget ga = GradOut(*pa);
+          kernels::BatchedGemmABT(g, bv.data(), ga.data, batch, m, n, k,
+                                  b_stride, ga.mode);
         }
         if (pb->requires_grad) {
           // dB[s] += A[s]^T * dC[s]; stride 0 accumulates a shared B.
-          kernels::BatchedGemmATB(av.data(), g, pb->MutableGrad().data(),
-                                  batch, m, k, n, b_stride);
+          const GradTarget gb = GradOut(*pb);
+          kernels::BatchedGemmATB(av.data(), g, gb.data, batch, m, k, n,
+                                  b_stride, gb.mode);
         }
       });
 }
@@ -230,9 +280,10 @@ Variable MatMulBT(const Variable& a, const Variable& b) {
   const int64_t m = s.m, k = s.k, n = s.n, batch = s.batch;
   const int64_t b_stride = s.shared_b ? 0 : n * k;
 
-  Tensor out(MatMulOutShape(as, m, n));
+  Tensor out = Tensor::Uninitialized(MatMulOutShape(as, m, n));
   kernels::BatchedGemmABT(a.value().data(), b.value().data(), out.data(),
-                          batch, m, k, n, b_stride);
+                          batch, m, k, n, b_stride,
+                          kernels::OutputMode::kWrite);
   ImplPtr pa = a.impl(), pb = b.impl();
   Tensor av = a.value(), bv = b.value();
   return MakeNode(
@@ -241,14 +292,16 @@ Variable MatMulBT(const Variable& a, const Variable& b) {
         const float* g = node.grad.data();
         if (pa->requires_grad) {
           // dA[s] += dC[s] * B[s], dC [m,n] x B [n,k] -> [m,k].
-          kernels::BatchedGemmAB(g, bv.data(), pa->MutableGrad().data(),
-                                 batch, m, n, k, b_stride);
+          const GradTarget ga = GradOut(*pa);
+          kernels::BatchedGemmAB(g, bv.data(), ga.data, batch, m, n, k,
+                                 b_stride, ga.mode);
         }
         if (pb->requires_grad) {
           // dB[s] += dC[s]^T * A[s], [n,m] x [m,k] -> [n,k]; stride 0
           // accumulates a shared B.
-          kernels::BatchedGemmATB(g, av.data(), pb->MutableGrad().data(),
-                                  batch, m, n, k, b_stride);
+          const GradTarget gb = GradOut(*pb);
+          kernels::BatchedGemmATB(g, av.data(), gb.data, batch, m, n, k,
+                                  b_stride, gb.mode);
         }
       });
 }
@@ -258,7 +311,7 @@ Variable Transpose(const Variable& a, int64_t d0, int64_t d1) {
   ImplPtr pa = a.impl();
   return MakeNode(std::move(out), {pa}, [pa, d0, d1](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    pa->MutableGrad().AddInPlace(TransposeCopy(n.grad, d1, d0));
+    PassGrad(*pa, TransposeCopy(n.grad, d1, d0));
   });
 }
 
@@ -268,7 +321,7 @@ Variable Reshape(const Variable& a, std::vector<int64_t> shape) {
   const std::vector<int64_t> orig = a.value().shape();
   return MakeNode(std::move(out), {pa}, [pa, orig](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    pa->MutableGrad().AddInPlace(n.grad.Reshape(orig));
+    PassGrad(*pa, n.grad.Reshape(orig));
   });
 }
 
@@ -288,7 +341,7 @@ Variable Softmax(const Variable& a) {
 Variable LogSoftmax(const Variable& a) {
   const int64_t c = a.value().size(-1);
   const int64_t rows = a.value().size() / c;
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::LogSoftmaxRows(a.value().data(), out.data(), rows, c);
   ImplPtr pa = a.impl();
   Tensor y = out;
@@ -346,40 +399,44 @@ Variable Dot(const Variable& a, const Variable& b) {
 
 Variable Relu(const Variable& a) {
   const int64_t num = a.value().size();
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::Map(a.value().data(), out.data(), num,
                [](float x) { return x > 0.0f ? x : 0.0f; });
   ImplPtr pa = a.impl();
   Tensor av = a.value();
   return MakeNode(std::move(out), {pa}, [pa, av, num](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    kernels::ZipAccumulate(n.grad.data(), av.data(),
-                           pa->MutableGrad().data(), num,
-                           [](float g, float x) { return x > 0.0f ? g : 0.0f; });
+    const GradTarget ga = GradOut(*pa);
+    kernels::ZipAccumulate(
+        n.grad.data(), av.data(), ga.data, num,
+        [](float g, float x) { return x > 0.0f ? g : 0.0f; }, ga.mode);
   });
 }
 
 Variable Abs(const Variable& a) {
   const int64_t num = a.value().size();
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::Map(a.value().data(), out.data(), num,
                [](float x) { return std::fabs(x); });
   ImplPtr pa = a.impl();
   Tensor av = a.value();
   return MakeNode(std::move(out), {pa}, [pa, av, num](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    kernels::ZipAccumulate(n.grad.data(), av.data(),
-                           pa->MutableGrad().data(), num, [](float g, float x) {
-                             if (x > 0.0f) return g;
-                             if (x < 0.0f) return -g;
-                             return 0.0f;
-                           });
+    const GradTarget ga = GradOut(*pa);
+    kernels::ZipAccumulate(
+        n.grad.data(), av.data(), ga.data, num,
+        [](float g, float x) {
+          if (x > 0.0f) return g;
+          if (x < 0.0f) return -g;
+          return 0.0f;
+        },
+        ga.mode);
   });
 }
 
 Variable Gelu(const Variable& a) {
   const int64_t num = a.value().size();
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::GeluForward(a.value().data(), out.data(), num);
   ImplPtr pa = a.impl();
   Tensor av = a.value();
@@ -392,31 +449,33 @@ Variable Gelu(const Variable& a) {
 
 Variable Tanh(const Variable& a) {
   const int64_t num = a.value().size();
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::Map(a.value().data(), out.data(), num,
                [](float x) { return std::tanh(x); });
   ImplPtr pa = a.impl();
   Tensor y = out;
   return MakeNode(std::move(out), {pa}, [pa, y, num](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    kernels::ZipAccumulate(n.grad.data(), y.data(), pa->MutableGrad().data(),
-                           num,
-                           [](float g, float yv) { return g * (1.0f - yv * yv); });
+    const GradTarget ga = GradOut(*pa);
+    kernels::ZipAccumulate(
+        n.grad.data(), y.data(), ga.data, num,
+        [](float g, float yv) { return g * (1.0f - yv * yv); }, ga.mode);
   });
 }
 
 Variable Sigmoid(const Variable& a) {
   const int64_t num = a.value().size();
-  Tensor out(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   kernels::Map(a.value().data(), out.data(), num,
                [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
   ImplPtr pa = a.impl();
   Tensor y = out;
   return MakeNode(std::move(out), {pa}, [pa, y, num](VariableImpl& n) {
     if (!pa->requires_grad) return;
+    const GradTarget ga = GradOut(*pa);
     kernels::ZipAccumulate(
-        n.grad.data(), y.data(), pa->MutableGrad().data(), num,
-        [](float g, float yv) { return g * yv * (1.0f - yv); });
+        n.grad.data(), y.data(), ga.data, num,
+        [](float g, float yv) { return g * yv * (1.0f - yv); }, ga.mode);
   });
 }
 
@@ -426,8 +485,8 @@ Variable Dropout(const Variable& a, float p, Rng& rng, bool training) {
   const float keep = 1.0f - p;
   const float scale = 1.0f / keep;
   const int64_t num = a.value().size();
-  Tensor mask(a.value().shape());
-  Tensor out(a.value().shape());
+  Tensor mask = Tensor::Uninitialized(a.value().shape());
+  Tensor out = Tensor::Uninitialized(a.value().shape());
   {
     // Mask generation is serial: the Rng is a sequential stream and the
     // draw order is part of run-to-run reproducibility.
@@ -440,9 +499,9 @@ Variable Dropout(const Variable& a, float p, Rng& rng, bool training) {
   ImplPtr pa = a.impl();
   return MakeNode(std::move(out), {pa}, [pa, mask, num](VariableImpl& n) {
     if (!pa->requires_grad) return;
-    kernels::ZipAccumulate(n.grad.data(), mask.data(),
-                           pa->MutableGrad().data(), num,
-                           [](float g, float m) { return g * m; });
+    const GradTarget ga = GradOut(*pa);
+    kernels::ZipAccumulate(n.grad.data(), mask.data(), ga.data, num,
+                           [](float g, float m) { return g * m; }, ga.mode);
   });
 }
 
@@ -455,7 +514,7 @@ Variable Embedding(const Variable& table, const std::vector<int64_t>& ids) {
     ROTOM_CHECK_GE(ids[i], 0);
     ROTOM_CHECK_LT(ids[i], v);
   }
-  Tensor out({n, d});
+  Tensor out = Tensor::Uninitialized({n, d});
   kernels::GatherRows(table.value().data(), ids.data(), out.data(), n, d);
   ImplPtr pt = table.impl();
   return MakeNode(std::move(out), {pt}, [pt, ids, d, n](VariableImpl& node) {
@@ -473,9 +532,9 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
   ROTOM_CHECK_EQ(beta.value().size(), d);
   const int64_t rows = x.value().size() / d;
 
-  Tensor out(x.value().shape());
-  Tensor xhat(x.value().shape());
-  Tensor inv_std({rows});
+  Tensor out = Tensor::Uninitialized(x.value().shape());
+  Tensor xhat = Tensor::Uninitialized(x.value().shape());
+  Tensor inv_std = Tensor::Uninitialized({rows});
   kernels::LayerNormRows(x.value().data(), gamma.value().data(),
                          beta.value().data(), eps, out.data(), xhat.data(),
                          inv_std.data(), rows, d);
@@ -516,7 +575,7 @@ Variable ConcatLastDim(const std::vector<Variable>& parts) {
   }
   std::vector<int64_t> out_shape = lead;
   out_shape.push_back(total_last);
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   {
     float* o = out.data();
     kernels::ParallelRows(rows, total_last, [&](int64_t r) {
@@ -567,7 +626,7 @@ Variable SelectIndex(const Variable& x, int64_t dim, int64_t index) {
     if (d != dim) out_shape.push_back(x.value().size(d));
   if (out_shape.empty()) out_shape.push_back(1);
 
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   {
     const float* in = x.value().data();
     float* o = out.data();
@@ -598,19 +657,21 @@ Variable AddSequenceMask(const Variable& scores, const Tensor& bias) {
   ROTOM_CHECK_EQ(scores.value().size(-1), s);
   const int64_t mid = scores.value().size() / (b * s);
 
-  Tensor out = scores.value().Clone();
+  Tensor out = Tensor::Uninitialized(scores.value().shape());
   {
+    const float* in = scores.value().data();
     float* o = out.data();
     const float* bd = bias.data();
     kernels::ParallelRows(b * mid, s, [&](int64_t r) {
       const float* brow = bd + (r / mid) * s;
+      const float* irow = in + r * s;
       float* row = o + r * s;
-      for (int64_t j = 0; j < s; ++j) row[j] += brow[j];
+      for (int64_t j = 0; j < s; ++j) row[j] = irow[j] + brow[j];
     });
   }
   ImplPtr ps = scores.impl();
   return MakeNode(std::move(out), {ps}, [ps](VariableImpl& n) {
-    if (ps->requires_grad) ps->MutableGrad().AddInPlace(n.grad);
+    if (ps->requires_grad) PassGrad(*ps, n.grad);
   });
 }
 
@@ -619,16 +680,20 @@ Variable AddCausalMask(const Variable& scores) {
   const int64_t s = scores.value().size(-1);
   const int64_t t = scores.value().size(-2);
   const int64_t mats = scores.value().size() / (t * s);
-  Tensor out = scores.value().Clone();
+  Tensor out = Tensor::Uninitialized(scores.value().shape());
+  const float* in = scores.value().data();
   float* o = out.data();
   kernels::ParallelRows(mats * t, s, [&](int64_t r) {
     const int64_t i = r % t;
+    const float* irow = in + r * s;
     float* row = o + r * s;
-    for (int64_t j = i + 1; j < s; ++j) row[j] += -1e9f;
+    const int64_t keep = std::min(i + 1, s);
+    std::memcpy(row, irow, sizeof(float) * keep);
+    for (int64_t j = keep; j < s; ++j) row[j] = irow[j] + -1e9f;
   });
   ImplPtr ps = scores.impl();
   return MakeNode(std::move(out), {ps}, [ps](VariableImpl& n) {
-    if (ps->requires_grad) ps->MutableGrad().AddInPlace(n.grad);
+    if (ps->requires_grad) PassGrad(*ps, n.grad);
   });
 }
 
@@ -644,7 +709,7 @@ Variable CrossEntropyPerExample(const Variable& logits,
   }
 
   Tensor probs = SoftmaxRows(logits.value());
-  Tensor out({b});
+  Tensor out = Tensor::Uninitialized({b});
   {
     const float* p = probs.data();
     float* o = out.data();
@@ -685,7 +750,7 @@ Variable SoftCrossEntropyPerExample(const Variable& logits,
   const int64_t c = logits.value().size(1);
 
   Tensor probs = SoftmaxRows(logits.value());
-  Tensor out({b});
+  Tensor out = Tensor::Uninitialized({b});
   {
     const float* p = probs.data();
     const float* q = target_probs.data();
@@ -725,7 +790,7 @@ Variable NormalizeMeanOne(const Variable& w) {
   const float s = static_cast<float>(total) + 1e-8f;
   const float nf = static_cast<float>(n);
 
-  Tensor out({n});
+  Tensor out = Tensor::Uninitialized({n});
   for (int64_t i = 0; i < n; ++i) out[i] = nf * w.value()[i] / s;
   ImplPtr pw = w.impl();
   Tensor wv = w.value();

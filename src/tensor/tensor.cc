@@ -23,8 +23,16 @@ Tensor::Tensor(std::vector<int64_t> shape)
       numel_(NumElements(shape_)),
       data_(BufferPool::Instance().Acquire(numel_)) {}
 
+Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = NumElements(t.shape_);
+  t.data_ = BufferPool::Instance().AcquireUninitialized(t.numel_);
+  return t;
+}
+
 Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   t.Fill(value);
   return t;
 }
@@ -41,7 +49,7 @@ Tensor Tensor::FromVector(std::vector<int64_t> shape,
 }
 
 Tensor Tensor::Randn(std::vector<int64_t> shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   for (int64_t i = 0; i < t.numel_; ++i)
     (*t.data_)[i] = static_cast<float>(rng.Normal()) * stddev;
   return t;
@@ -49,7 +57,7 @@ Tensor Tensor::Randn(std::vector<int64_t> shape, Rng& rng, float stddev) {
 
 Tensor Tensor::RandUniform(std::vector<int64_t> shape, Rng& rng, float lo,
                            float hi) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   for (int64_t i = 0; i < t.numel_; ++i)
     (*t.data_)[i] = static_cast<float>(rng.Uniform(lo, hi));
   return t;
@@ -115,10 +123,7 @@ Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
 
 Tensor Tensor::Clone() const {
   if (!defined()) return Tensor();
-  Tensor t;
-  t.shape_ = shape_;
-  t.numel_ = numel_;
-  t.data_ = BufferPool::Instance().Acquire(numel_);
+  Tensor t = Uninitialized(shape_);
   std::memcpy(t.data_->data(), data_->data(), sizeof(float) * numel_);
   return t;
 }

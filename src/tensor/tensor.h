@@ -22,6 +22,12 @@ class Tensor {
   /// Zero-initialized tensor of the given shape.
   explicit Tensor(std::vector<int64_t> shape);
 
+  /// Tensor of the given shape whose elements are unspecified: the buffer
+  /// comes from BufferPool::AcquireUninitialized, so a recycled one holds
+  /// its previous owner's values. Only for outputs that are written in full
+  /// before any element is read.
+  static Tensor Uninitialized(std::vector<int64_t> shape);
+
   /// Factory helpers.
   static Tensor Zeros(std::vector<int64_t> shape) { return Tensor(std::move(shape)); }
   static Tensor Full(std::vector<int64_t> shape, float value);

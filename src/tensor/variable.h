@@ -21,6 +21,16 @@ struct VariableImpl;
 /// Copying a Variable is cheap (shared impl). Long-lived leaf Variables
 /// (model parameters) are reused across training steps; each step's graph is
 /// freed when the loss Variable goes out of scope.
+///
+/// Gradients: only a leaf's gradient is readable after Backward(). An op
+/// that passes its gradient through unchanged (Reshape, AddScalar, the
+/// first operand of Add and Sub, the attention masks) hands its own
+/// gradient buffer to an interior parent that has none yet, and Transpose
+/// hands over the transposed copy it makes. So once an interior node's
+/// backward has run, its gradient may share storage with its parent's and
+/// take the parent's other contributions. A graph is back-propagated once:
+/// a second Backward() through an interior node would count its first
+/// gradient again (as it always did).
 class Variable {
  public:
   /// A null (undefined) variable.
@@ -86,8 +96,11 @@ class NoGradGuard {
 
 namespace internal_autograd {
 
-/// Shared state behind a Variable. `backward_fn` reads `grad` and
-/// accumulates into each parent's grad.
+/// Shared state behind a Variable. `backward_fn` reads `grad` and adds it
+/// into each parent's grad: a parent with no gradient yet gets one written
+/// (or, for an interior parent of a pass-through op, takes `grad` itself),
+/// one that has a gradient is accumulated into. Leaves are exactly the
+/// nodes without a `backward_fn`.
 struct VariableImpl {
   Tensor value;
   Tensor grad;
@@ -95,7 +108,7 @@ struct VariableImpl {
   std::vector<std::shared_ptr<VariableImpl>> parents;
   std::function<void(VariableImpl&)> backward_fn;
 
-  /// Allocates the gradient tensor on first use.
+  /// Allocates the gradient tensor on first use, zero-filled.
   Tensor& MutableGrad() {
     if (!grad.defined()) grad = Tensor(value.shape());
     return grad;

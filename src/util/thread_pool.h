@@ -85,6 +85,7 @@ class ThreadPool {
   static bool InParallelRegion();
 
  private:
+  friend class ThreadPoolPeer;  // tests/thread_pool_test.cc
   using Body = std::function<void(int64_t, int64_t)>;
 
   void WorkerLoop();

@@ -180,6 +180,60 @@ TEST_F(KernelsTest, GemmBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Write mode never reads C and gives the bits accumulate mode gives on a
+// zeroed C, for every batched entry point (per-slice and shared B, per-slice
+// and shared ATB output), with row ranges cut into several chunks at 3 and
+// 4 threads. C starts as NaN, so any element left unwritten shows.
+TEST_F(KernelsTest, WriteModeMatchesAccumulateOntoZeros) {
+  constexpr int64_t kBatch = 3, kRows = 990;
+  const auto a = RandVec(kBatch * kRows * kK, 23), b = RandVec(kK * kN, 24);
+  const auto bs = RandVec(kBatch * kK * kN, 25);
+  const auto bt = RandVec(kBatch * kN * kK, 26);
+  const auto g = RandVec(kBatch * kRows * kN, 27);
+  using Gemm = std::function<void(float*, kernels::OutputMode)>;
+  const std::vector<std::pair<const char*, std::pair<int64_t, Gemm>>> gemms = {
+      {"BatchedGemmAB shared B",
+       {kBatch * kRows * kN, [&](float* c, kernels::OutputMode mode) {
+          kernels::BatchedGemmAB(a.data(), b.data(), c, kBatch, kRows, kK, kN,
+                                 0, mode);
+        }}},
+      {"BatchedGemmAB per-slice B",
+       {kBatch * kRows * kN, [&](float* c, kernels::OutputMode mode) {
+          kernels::BatchedGemmAB(a.data(), bs.data(), c, kBatch, kRows, kK,
+                                 kN, kK * kN, mode);
+        }}},
+      {"BatchedGemmABT per-slice B",
+       {kBatch * kRows * kN, [&](float* c, kernels::OutputMode mode) {
+          kernels::BatchedGemmABT(a.data(), bt.data(), c, kBatch, kRows, kK,
+                                  kN, kN * kK, mode);
+        }}},
+      {"BatchedGemmATB per-slice output",
+       {kBatch * kK * kN, [&](float* c, kernels::OutputMode mode) {
+          kernels::BatchedGemmATB(a.data(), g.data(), c, kBatch, kRows, kK, kN,
+                                  kK * kN, mode);
+        }}},
+      {"BatchedGemmATB shared output",
+       {kK * kN, [&](float* c, kernels::OutputMode mode) {
+          kernels::BatchedGemmATB(a.data(), g.data(), c, kBatch, kRows, kK, kN,
+                                  0, mode);
+        }}},
+  };
+  for (const auto& [name, gemm] : gemms) {
+    const auto& [size, run] = gemm;
+    for (int threads : {1, 3, 4}) {
+      SetComputeThreads(threads);
+      std::vector<float> accumulated(size, 0.0f);
+      run(accumulated.data(), kernels::OutputMode::kAccumulate);
+      std::vector<float> written(size, std::nanf(""));
+      run(written.data(), kernels::OutputMode::kWrite);
+      ASSERT_EQ(std::memcmp(written.data(), accumulated.data(),
+                            sizeof(float) * size),
+                0)
+          << name << " threads=" << threads;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The AVX2 GEMM order contract (DESIGN.md section 7): every element of
 // GemmAB / GemmATB and their batched forms is the documented chain of
@@ -387,12 +441,17 @@ TEST_F(KernelsTest, AccumulateRowsSumsColumns) {
 
 TEST_F(KernelsTest, BroadcastAddRows) {
   constexpr int64_t kRows = 6, kCols = 5;
-  std::vector<float> y(kRows * kCols, 2.0f);
+  const std::vector<float> x(kRows * kCols, 2.0f);
+  std::vector<float> y(kRows * kCols, std::nanf(""));
   const auto bias = RandVec(kCols, 21);
-  kernels::BroadcastAddRows(y.data(), bias.data(), kRows, kCols);
+  kernels::BroadcastAddRows(x.data(), bias.data(), y.data(), kRows, kCols);
   for (int64_t r = 0; r < kRows; ++r)
     for (int64_t j = 0; j < kCols; ++j)
-      EXPECT_NEAR(y[r * kCols + j], 2.0f + bias[j], 1e-6f);
+      EXPECT_EQ(y[r * kCols + j], 2.0f + bias[j]);
+  // In place (y == x) gives the same bits.
+  std::vector<float> z = x;
+  kernels::BroadcastAddRows(z.data(), bias.data(), z.data(), kRows, kCols);
+  EXPECT_EQ(z, y);
 }
 
 TEST_F(KernelsTest, GatherThenScatterAddRoundTrips) {

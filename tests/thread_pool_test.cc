@@ -14,7 +14,47 @@
 #include <gtest/gtest.h>
 
 namespace rotom {
+
+// Reaches the pool's claim word and RunChunks, so a test can put a worker
+// in the one state no schedule reliably produces: holding a job whose
+// generation is already stale.
+class ThreadPoolPeer {
+ public:
+  using Body = ThreadPool::Body;
+  static constexpr int kChunkBits = ThreadPool::kChunkBits;
+
+  static void SetClaim(ThreadPool& pool, uint64_t generation,
+                       uint64_t claimed) {
+    pool.claim_.store((generation << kChunkBits) | claimed);
+  }
+  static uint64_t Claim(const ThreadPool& pool) { return pool.claim_.load(); }
+  static int64_t RunChunks(ThreadPool& pool, uint64_t generation,
+                           const Body* body, int64_t total, int64_t chunk,
+                           int64_t num_chunks) {
+    return pool.RunChunks(generation, body, total, chunk, num_chunks);
+  }
+};
+
 namespace {
+
+// A worker that read job 7 and was descheduled until job 8 was published
+// must claim nothing: job 8's chunks belong to job 8's body.
+TEST(ThreadPoolTest, StaleGenerationClaimsNoChunk) {
+  ThreadPool pool(1);  // no workers: nothing else touches the claim word
+  ThreadPoolPeer::SetClaim(pool, /*generation=*/8, /*claimed=*/0);
+  std::atomic<int> runs{0};
+  const ThreadPoolPeer::Body body = [&](int64_t, int64_t) { ++runs; };
+  EXPECT_EQ(ThreadPoolPeer::RunChunks(pool, /*generation=*/7, &body,
+                                      /*total=*/100, /*chunk=*/10,
+                                      /*num_chunks=*/10),
+            0);
+  EXPECT_EQ(runs.load(), 0);
+  EXPECT_EQ(ThreadPoolPeer::Claim(pool),
+            uint64_t{8} << ThreadPoolPeer::kChunkBits);
+  // The current generation claims every chunk, once.
+  EXPECT_EQ(ThreadPoolPeer::RunChunks(pool, 8, &body, 100, 10, 10), 10);
+  EXPECT_EQ(runs.load(), 10);
+}
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
