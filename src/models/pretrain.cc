@@ -1,6 +1,7 @@
 #include "models/pretrain.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "augment/ops.h"
@@ -68,8 +69,8 @@ float PretrainMaskedLm(TransformerClassifier& model,
       const size_t begin = bi * batch_size;
       const size_t end = std::min(begin + batch_size, texts.size());
       return text::AssembleEncodedBatch(
-          *cache, std::vector<std::string>(texts.begin() + begin,
-                                           texts.begin() + end));
+          *cache, std::span<const std::string>(texts).subspan(begin,
+                                                              end - begin));
     };
     Prefetcher<text::EncodedBatch> prefetcher(produce, num_batches,
                                               options.pipeline.prefetch,

@@ -22,6 +22,17 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
 
 Variable Linear::Forward(const Variable& x) const {
   ROTOM_CHECK_EQ(x.value().size(-1), in_features_);
+  if (int8()) {
+    ROTOM_CHECK_MSG(NoGradGuard::Active(),
+                    "an int8 Linear runs under a NoGradGuard only");
+    std::vector<int64_t> shape = x.value().shape();
+    shape.back() = out_features_;
+    Tensor y = Tensor::Uninitialized(std::move(shape));  // QLinear writes all
+    quant::QLinear(x.value().data(), qweight_, row_sums_.data(),
+                   with_bias_ ? bias_.value().data() : nullptr, y.data(),
+                   x.value().size() / in_features_);
+    return Variable(std::move(y));
+  }
   // Flatten leading dims so MatMul runs one 2-D GEMM.
   const auto orig = x.value().shape();
   Variable flat =
@@ -32,6 +43,14 @@ Variable Linear::Forward(const Variable& x) const {
   std::vector<int64_t> out_shape(orig.begin(), orig.end() - 1);
   out_shape.push_back(out_features_);
   return ops::Reshape(y, std::move(out_shape));
+}
+
+void Linear::SetInt8Weight(quant::QuantizedTensor weight_t) {
+  ROTOM_CHECK_EQ(weight_t.rows, out_features_);
+  ROTOM_CHECK_EQ(weight_t.cols, in_features_);
+  row_sums_ = quant::RowSums(weight_t);
+  qweight_ = std::move(weight_t);
+  weight_.value() = Tensor();
 }
 
 EmbeddingLayer::EmbeddingLayer(int64_t vocab_size, int64_t dim, Rng& rng)

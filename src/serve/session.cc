@@ -1,6 +1,5 @@
 #include "serve/session.h"
 
-#include <cstring>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -12,38 +11,28 @@ namespace rotom {
 namespace serve {
 
 InferenceSession::InferenceSession(
-    const models::ClassifierConfig& config,
-    std::shared_ptr<const text::Vocabulary> vocab, text::IdfTable idf,
-    const Options& options)
-    : config_(config),
-      vocab_(std::move(vocab)),
+    std::unique_ptr<models::TransformerClassifier> model, bool quantized,
+    text::IdfTable idf, const Options& options)
+    : model_(std::move(model)),
+      quantized_(quantized),
       idf_(std::move(idf)),
-      cache_(std::make_unique<text::EncodingCache>(vocab_.get(), config.max_len,
-                                                   options.cache_rows)) {}
+      cache_(std::make_unique<text::EncodingCache>(
+          &model_->vocab(), model_->config().max_len, options.cache_rows)) {}
 
 StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
     const Snapshot& snapshot, const Options& options) {
-  if (snapshot.vocab == nullptr) {
-    return Status::Error("snapshot has no vocabulary; cannot build a session");
-  }
   Precision precision = options.precision;
   if (precision == Precision::kAuto) {
     precision =
         snapshot.qweights.empty() ? Precision::kFloat32 : Precision::kInt8;
   }
+  auto model = snapshot.BuildModel(precision == Precision::kInt8);
+  if (!model.ok()) return model.status();
   // Private constructor: make_unique cannot reach it.
-  std::unique_ptr<InferenceSession> session(new InferenceSession(
-      snapshot.config, snapshot.vocab, snapshot.idf, options));
-  if (precision == Precision::kInt8) {
-    auto qmodel = QuantizedClassifier::Create(snapshot);
-    if (!qmodel.ok()) return qmodel.status();
-    session->qmodel_ = std::move(qmodel).value();
-  } else {
-    auto model = snapshot.BuildModel();
-    if (!model.ok()) return model.status();
-    session->model_ = std::move(model).value();
-  }
-  return session;
+  return std::unique_ptr<InferenceSession>(
+      new InferenceSession(std::move(model).value(),
+                           precision == Precision::kInt8, snapshot.idf,
+                           options));
 }
 
 StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Open(
@@ -53,40 +42,17 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Open(
   return Create(snapshot.value(), options);
 }
 
-text::EncodedBatch InferenceSession::Assemble(
-    std::span<const std::string> texts) const {
-  const int64_t max_len = cache_->max_len();
-  text::EncodedBatch batch;
-  batch.batch = static_cast<int64_t>(texts.size());
-  batch.max_len = max_len;
-  batch.ids.reserve(batch.batch * max_len);
-  batch.flags.reserve(batch.batch * max_len);
-  batch.mask = Tensor({batch.batch, max_len});
-  float* mask = batch.mask.data();
-  for (int64_t i = 0; i < batch.batch; ++i) {
-    const std::shared_ptr<const text::EncodedRow> row =
-        cache_->Encode(texts[static_cast<size_t>(i)]);
-    batch.ids.insert(batch.ids.end(), row->ids.begin(), row->ids.end());
-    batch.flags.insert(batch.flags.end(), row->flags.begin(),
-                       row->flags.end());
-    std::memcpy(mask + i * max_len, row->mask.data(),
-                sizeof(float) * static_cast<size_t>(max_len));
-  }
-  return batch;
-}
-
 Tensor InferenceSession::Logits(std::span<const std::string> texts) const {
   if (texts.empty()) return Tensor();
-  const text::EncodedBatch batch = Assemble(texts);
-  if (qmodel_ != nullptr) {
+  const text::EncodedBatch batch = text::AssembleEncodedBatch(*cache_, texts);
+  if (quantized_) {
     // Counts fused int8 forwards, so quantized vs float traffic is visible
     // per process (OBSERVABILITY.md).
     static obs::Counter& quantized_forwards = obs::GetCounter("serve.quantized");
     quantized_forwards.Add();
-    return qmodel_->Logits(batch);
   }
-  // Eval mode consumes no randomness and no-grad builds no graph; the Rng is
-  // only a signature requirement.
+  // Eval mode consumes no randomness and no-grad builds no graph (which an
+  // int8 Linear requires); the Rng is only a signature requirement.
   NoGradGuard guard;
   Rng rng(0);
   return model_->ForwardLogitsEncoded(batch, rng).value();

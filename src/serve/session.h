@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/qforward.h"
 #include "serve/snapshot.h"
 #include "text/encoding_cache.h"
 
@@ -33,13 +32,15 @@ struct Prediction {
 /// always yields bit-identical logits — including across a Save/Load round
 /// trip of the snapshot (serve_test.cc).
 ///
-/// Precision: Options::precision selects the float32 forward (the wrapped
-/// TransformerClassifier) or the int8 quantized forward (QuantizedClassifier,
-/// serve/qforward.h), defaulting to whatever the snapshot was exported as.
-/// Both modes answer the same API; the quantized mode stores the linear
-/// weights in a quarter of the bytes at a bounded accuracy cost
-/// (serve_quant_parity_test). It is not the faster mode: EXPERIMENTS.md
-/// "serve bench" has the current f32 and int8 speeds.
+/// Precision: the session holds one TransformerClassifier either way, and
+/// Options::precision selects how its nn::Linear layers compute: in
+/// float32, or in int8 (Linear::SetInt8Weight, via
+/// Snapshot::BuildModel(/*int8=*/true)), defaulting to whatever the
+/// snapshot was exported as. Everything between the linears runs the same
+/// kernels in both. The int8 mode stores the linear weights in a quarter
+/// of the bytes at a bounded accuracy cost (serve_quant_parity_test). It
+/// is not the faster mode: EXPERIMENTS.md "serve bench" has the current
+/// f32 and int8 speeds.
 ///
 /// This is the terminal consumer of the encoded-batch path: raw text is
 /// encoded exactly once (cache hit afterwards) and the model only ever sees
@@ -52,10 +53,12 @@ class InferenceSession {
   enum class Precision {
     /// int8 when the snapshot carries quantized weights, float32 otherwise.
     kAuto,
-    /// Full-precision forward; a quantized snapshot is dequantized on load.
+    /// Every Linear in f32; a quantized snapshot is dequantized on load.
     kFloat32,
-    /// int8 forward (serve/qforward.h); a float snapshot is quantized at
-    /// session build time with the same scheme tools/rotom_quantize uses.
+    /// Every Linear in int8; a float snapshot's Linear weights are
+    /// quantized at session build time with the scheme tools/rotom_quantize
+    /// uses. Embeddings, layer norms, biases and the attention products
+    /// stay f32.
     kInt8,
   };
 
@@ -97,29 +100,23 @@ class InferenceSession {
   /// their own calibration). Thread-safe.
   Tensor Logits(std::span<const std::string> texts) const;
 
-  const models::ClassifierConfig& config() const { return config_; }
-  const text::Vocabulary& vocab() const { return *vocab_; }
+  const models::ClassifierConfig& config() const { return model_->config(); }
+  const text::Vocabulary& vocab() const { return model_->vocab(); }
   const text::IdfTable& idf() const { return idf_; }
 
-  /// True when this session runs the int8 forward. Each quantized fused
+  /// True when this session's Linear layers run int8. Each quantized fused
   /// forward bumps the `serve.quantized` counter (OBSERVABILITY.md).
-  bool quantized() const { return qmodel_ != nullptr; }
+  bool quantized() const { return quantized_; }
 
   /// Encoding-memo statistics (hits/misses/evictions) for this session.
   text::EncodingCache::Stats CacheStats() const { return cache_->GetStats(); }
 
  private:
-  InferenceSession(const models::ClassifierConfig& config,
-                   std::shared_ptr<const text::Vocabulary> vocab,
-                   text::IdfTable idf, const Options& options);
+  InferenceSession(std::unique_ptr<models::TransformerClassifier> model,
+                   bool quantized, text::IdfTable idf, const Options& options);
 
-  text::EncodedBatch Assemble(std::span<const std::string> texts) const;
-
-  models::ClassifierConfig config_;
-  std::shared_ptr<const text::Vocabulary> vocab_;
-  // Exactly one of the two models is set, per Options::precision.
   std::unique_ptr<models::TransformerClassifier> model_;  // eval mode, frozen
-  std::unique_ptr<QuantizedClassifier> qmodel_;           // int8 forward
+  bool quantized_;  // model_'s Linear layers run int8
   text::IdfTable idf_;
   // Logically const (a pure memo); unique_ptr so the const methods can call
   // its internally-synchronized non-const Encode().

@@ -280,7 +280,7 @@ void LayerNormParamGradRows(const float* gy, const float* xhat, float* ggamma,
 void AccumulateRows(const float* x, float* acc, int64_t rows, int64_t cols);
 
 /// y[r,j] = x[r,j] + bias[j] for every row (forward of a broadcast add);
-/// y == x is allowed.
+/// y == x is allowed. Parallel over elements, so one long row splits too.
 void BroadcastAddRows(const float* x, const float* bias, float* y,
                       int64_t rows, int64_t cols);
 

@@ -48,8 +48,21 @@ Tensor Tensor::FromVector(std::vector<int64_t> shape,
   return t;
 }
 
+namespace {
+
+thread_local bool g_no_random_init = false;
+
+}  // namespace
+
+NoRandomInitGuard::NoRandomInitGuard() : previous_(g_no_random_init) {
+  g_no_random_init = true;
+}
+
+NoRandomInitGuard::~NoRandomInitGuard() { g_no_random_init = previous_; }
+
 Tensor Tensor::Randn(std::vector<int64_t> shape, Rng& rng, float stddev) {
   Tensor t = Uninitialized(std::move(shape));
+  if (g_no_random_init) return t;
   for (int64_t i = 0; i < t.numel_; ++i)
     (*t.data_)[i] = static_cast<float>(rng.Normal()) * stddev;
   return t;
@@ -58,6 +71,7 @@ Tensor Tensor::Randn(std::vector<int64_t> shape, Rng& rng, float stddev) {
 Tensor Tensor::RandUniform(std::vector<int64_t> shape, Rng& rng, float lo,
                            float hi) {
   Tensor t = Uninitialized(std::move(shape));
+  if (g_no_random_init) return t;
   for (int64_t i = 0; i < t.numel_; ++i)
     (*t.data_)[i] = static_cast<float>(rng.Uniform(lo, hi));
   return t;

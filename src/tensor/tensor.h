@@ -36,9 +36,11 @@ class Tensor {
   static Tensor FromVector(std::vector<int64_t> shape, std::vector<float> values);
   /// A scalar (0-d represented as shape {1}).
   static Tensor Scalar(float value) { return Full({1}, value); }
-  /// I.i.d. normal entries with the given standard deviation.
+  /// I.i.d. normal entries with the given standard deviation. Under a
+  /// NoRandomInitGuard: uninitialized, and `rng` is not advanced.
   static Tensor Randn(std::vector<int64_t> shape, Rng& rng, float stddev = 1.0f);
-  /// I.i.d. uniform entries in [lo, hi).
+  /// I.i.d. uniform entries in [lo, hi). Under a NoRandomInitGuard:
+  /// uninitialized, and `rng` is not advanced.
   static Tensor RandUniform(std::vector<int64_t> shape, Rng& rng, float lo, float hi);
 
   bool defined() const { return data_ != nullptr; }
@@ -110,6 +112,22 @@ class Tensor {
 
 /// Validates a shape (all extents positive) and returns the element count.
 int64_t NumElements(const std::vector<int64_t>& shape);
+
+/// RAII scope in which Tensor::Randn and Tensor::RandUniform skip the draw
+/// and return Tensor::Uninitialized storage. For building a module whose
+/// every parameter is replaced at once: Snapshot::BuildModel constructs the
+/// classifier under one, so serving never pays the random init. Like
+/// NoGradGuard it is per thread and nests.
+class NoRandomInitGuard {
+ public:
+  NoRandomInitGuard();
+  ~NoRandomInitGuard();
+  NoRandomInitGuard(const NoRandomInitGuard&) = delete;
+  NoRandomInitGuard& operator=(const NoRandomInitGuard&) = delete;
+
+ private:
+  bool previous_;
+};
 
 }  // namespace rotom
 

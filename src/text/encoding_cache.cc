@@ -122,7 +122,7 @@ void EncodingCache::Clear() {
 }
 
 EncodedBatch AssembleEncodedBatch(EncodingCache& cache,
-                                  const std::vector<std::string>& texts) {
+                                  std::span<const std::string> texts) {
   const int64_t max_len = cache.max_len();
   EncodedBatch batch;
   batch.batch = static_cast<int64_t>(texts.size());

@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,7 +115,7 @@ class EncodingCache {
 /// computation), but repeated texts cost a lookup instead of a re-encode.
 /// The returned batch owns its buffers; callers may mutate them freely.
 EncodedBatch AssembleEncodedBatch(EncodingCache& cache,
-                                  const std::vector<std::string>& texts);
+                                  std::span<const std::string> texts);
 
 }  // namespace text
 }  // namespace rotom

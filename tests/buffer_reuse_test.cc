@@ -344,6 +344,34 @@ TEST(PoisonedPoolTest, SessionForwardF32AndInt8) {
   });
 }
 
+// Snapshot::BuildModel constructs without drawing, so every parameter
+// starts as uninitialized pool storage until the snapshot's tensor replaces
+// it: a parameter the build leaves on that storage shows here. Both
+// precisions from both snapshot generations are built on the poisoned pool.
+TEST(PoisonedPoolTest, SessionBuildWritesEveryParameter) {
+  Rng rng(7);
+  models::TransformerClassifier model(StepConfig(), StepVocab(), rng);
+  const serve::Snapshot f32 = serve::Snapshot::FromModel(model);
+  auto quantized = serve::QuantizeSnapshot(f32);
+  ASSERT_TRUE(quantized.ok());
+  const serve::Snapshot& int8 = quantized.value();
+  ExpectPoolIndependent("session build", [&] {
+    std::vector<Tensor> logits;
+    for (const serve::Snapshot* snapshot : {&f32, &int8}) {
+      for (const auto precision :
+           {serve::InferenceSession::Precision::kFloat32,
+            serve::InferenceSession::Precision::kInt8}) {
+        serve::InferenceSession::Options options;
+        options.precision = precision;
+        auto session = serve::InferenceSession::Create(*snapshot, options);
+        EXPECT_TRUE(session.ok());
+        logits.push_back(session.value()->Logits(StepTexts()));
+      }
+    }
+    return logits;
+  });
+}
+
 // The zero fill that no-fill outputs, write-mode kernels and gradient
 // hand-off removed, pinned on one warm training step (the pool already
 // holds the step's buffers). Before them every acquire zero-filled, and the

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "nn/module.h"
 #include "nn/optim.h"
 #include "nn/transformer.h"
+#include "tensor/quant.h"
 
 namespace rotom {
 namespace {
@@ -124,6 +126,51 @@ TEST(LinearTest, GradCheck) {
     Variable y = lin.Forward(x);
     return ops::Sum(ops::Mul(y, y));
   });
+}
+
+// Row-quantized codes for the [out, in] transpose of a Linear weight.
+quant::QuantizedTensor RandomCodes(int64_t in, int64_t out, Rng& rng) {
+  const Tensor wt = Tensor::Randn({out, in}, rng, 0.5f);
+  return quant::QuantizeRows(wt.data(), out, in);
+}
+
+// An int8 Linear is quant::QLinear over its codes and bias, bit for bit,
+// on 2-D and on 3-D input, and keeps no f32 weight.
+TEST(LinearTest, Int8ModeIsQLinear) {
+  constexpr int64_t kIn = 12, kOut = 5;
+  Rng rng(10);
+  nn::Linear lin(kIn, kOut, rng);
+  Tensor& bias = lin.Parameters()[1].value();
+  for (int64_t j = 0; j < kOut; ++j) bias[j] = 0.25f * static_cast<float>(j);
+  const quant::QuantizedTensor codes = RandomCodes(kIn, kOut, rng);
+  const std::vector<int32_t> row_sums = quant::RowSums(codes);
+  lin.SetInt8Weight(codes);
+  ASSERT_TRUE(lin.int8());
+  EXPECT_FALSE(lin.Parameters()[0].value().defined());
+  EXPECT_EQ(lin.NumParameters(), kOut);  // the bias alone
+
+  NoGradGuard no_grad;
+  for (const std::vector<int64_t>& shape :
+       {std::vector<int64_t>{7, kIn}, std::vector<int64_t>{2, 3, kIn}}) {
+    const Tensor x = Tensor::Randn(shape, rng);
+    const Tensor y = lin.Forward(Variable(x, false)).value();
+    std::vector<int64_t> out_shape = shape;
+    out_shape.back() = kOut;
+    ASSERT_EQ(y.shape(), out_shape);
+    std::vector<float> want(static_cast<size_t>(y.size()));
+    quant::QLinear(x.data(), codes, row_sums.data(), bias.data(), want.data(),
+                   x.size() / kIn);
+    EXPECT_EQ(std::memcmp(y.data(), want.data(), sizeof(float) * want.size()),
+              0);
+  }
+}
+
+TEST(LinearDeathTest, Int8ModeAbortsUnderGradMode) {
+  Rng rng(11);
+  nn::Linear lin(4, 3, rng);
+  lin.SetInt8Weight(RandomCodes(4, 3, rng));
+  const Variable x(Tensor::Ones({2, 4}), true);
+  EXPECT_DEATH(lin.Forward(x), "NoGradGuard");
 }
 
 TEST(EmbeddingLayerTest, LookupShape) {
