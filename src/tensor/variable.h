@@ -52,6 +52,10 @@ class Variable {
   bool has_grad() const;
 
   bool requires_grad() const;
+  /// Makes this leaf a constant for good: requires_grad() is false from
+  /// now on, so no gradient reaches it and optimizers skip it, and
+  /// Module::LoadStateDict and CopyParametersFrom refuse to write it.
+  void Freeze();
 
   const std::vector<int64_t>& shape() const { return value().shape(); }
   int64_t size() const { return value().size(); }
