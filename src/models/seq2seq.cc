@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "tensor/kernels.h"
 
@@ -103,33 +102,23 @@ std::vector<std::string> Seq2SeqModel::GenerateBatch(
   Rng dummy(0);  // generation runs the nets without dropout state
   NoGradGuard guard;
   Variable memory = encoder_.Forward(src_ids, b, src_len, src_mask, dummy);
-  Tensor memory_value = memory.value();
+  nn::DecoderCache cache = decoder_.StartDecode(memory, src_mask);
 
   std::vector<std::vector<int64_t>> generated(b);
   std::vector<bool> finished(b, false);
   const int64_t vocab_size = vocab_->size();
+  // The token each row feeds the decoder next: [BOS], then what it sampled.
+  std::vector<int64_t> next(b, text::SpecialTokens::kBos);
 
   for (int64_t step = 0; step < max_out; ++step) {
-    const int64_t cur_len = step + 1;  // [BOS] + generated so far
-    std::vector<int64_t> dec_in;
-    dec_in.reserve(b * cur_len);
-    Tensor dec_mask({b, cur_len});
-    for (int64_t i = 0; i < b; ++i) {
-      dec_in.push_back(text::SpecialTokens::kBos);
-      for (int64_t t = 0; t < step; ++t) dec_in.push_back(generated[i][t]);
-      for (int64_t t = 0; t < cur_len; ++t) dec_mask.at({i, t}) = 1.0f;
-    }
-    Variable memory_var(memory_value, false);
-    Variable logits = decoder_.Forward(dec_in, b, cur_len, dec_mask,
-                                       memory_var, src_mask, dummy);
-    // Sample from the distribution at the last position of each row.
+    Variable logits = decoder_.Step(next, cache);  // [b,1,vocab]
+    // Sample each row's next token from the logits at the new position.
     for (int64_t i = 0; i < b; ++i) {
       if (finished[i]) {
         generated[i].push_back(text::SpecialTokens::kPad);
         continue;
       }
-      const float* row =
-          logits.value().data() + (i * cur_len + cur_len - 1) * vocab_size;
+      const float* row = logits.value().data() + i * vocab_size;
       std::vector<std::pair<float, int64_t>> scored(vocab_size);
       for (int64_t v = 0; v < vocab_size; ++v) scored[v] = {row[v], v};
       // Never generate padding/mask/CLS.
@@ -168,6 +157,7 @@ std::vector<std::string> Seq2SeqModel::GenerateBatch(
         generated[i].push_back(token);
       }
     }
+    for (int64_t i = 0; i < b; ++i) next[i] = generated[i].back();
     if (std::all_of(finished.begin(), finished.end(),
                     [](bool f) { return f; })) {
       break;
@@ -206,13 +196,14 @@ std::string Seq2SeqModel::GenerateBeam(const std::string& source,
   for (int64_t t = 0; t < src_len; ++t) src_mask.at({0, t}) = src.mask[t];
   Rng dummy(0);
   NoGradGuard guard;
-  const Tensor memory_row =
-      encoder_.Forward(src.ids, 1, src_len, src_mask, dummy).value();
+  nn::DecoderCache cache = decoder_.StartDecode(
+      encoder_.Forward(src.ids, 1, src_len, src_mask, dummy), src_mask);
 
   struct Beam {
     std::vector<int64_t> tokens;
     double log_prob = 0.0;
     bool finished = false;
+    int64_t row = 0;  // the decoder cache row holding this beam's prefix
   };
   std::vector<Beam> beams = {Beam{}};
   const int64_t vocab_size = vocab_->size();
@@ -222,37 +213,32 @@ std::string Seq2SeqModel::GenerateBeam(const std::string& source,
                     [](const Beam& b) { return b.finished; })) {
       break;
     }
-    // Batch all beams through the decoder at the current length.
+    // Batch all beams through one decoder step, each continuing from its
+    // parent's cached prefix. Position `step` holds [BOS] at step 0, then
+    // the beam's token from the step before ([PAD] once it finished).
     const int64_t nb = static_cast<int64_t>(beams.size());
-    const int64_t cur_len = step + 1;
-    std::vector<int64_t> dec_in;
-    Tensor dec_mask({nb, cur_len});
-    Tensor mem({nb, memory_row.size(1), memory_row.size(2)});
-    Tensor masks({nb, src_len});
+    std::vector<int64_t> rows(nb);
+    std::vector<int64_t> ids(nb);
     for (int64_t i = 0; i < nb; ++i) {
-      dec_in.push_back(text::SpecialTokens::kBos);
-      for (int64_t t = 0; t < step; ++t)
-        dec_in.push_back(t < static_cast<int64_t>(beams[i].tokens.size())
-                             ? beams[i].tokens[t]
-                             : text::SpecialTokens::kPad);
-      for (int64_t t = 0; t < cur_len; ++t) dec_mask.at({i, t}) = 1.0f;
-      std::memcpy(mem.data() + i * memory_row.size(),
-                  memory_row.data(), sizeof(float) * memory_row.size());
-      std::memcpy(masks.data() + i * src_len, src_mask.data(),
-                  sizeof(float) * src_len);
+      rows[i] = beams[i].row;
+      const auto& tokens = beams[i].tokens;
+      ids[i] = step == 0 ? text::SpecialTokens::kBos
+               : step - 1 < static_cast<int64_t>(tokens.size())
+                   ? tokens[step - 1]
+                   : text::SpecialTokens::kPad;
     }
-    Variable logits = decoder_.Forward(dec_in, nb, cur_len, dec_mask,
-                                       Variable(mem, false), masks, dummy);
-    // Log-softmax of the last position per beam; expand.
+    cache.SelectRows(rows);
+    Variable logits = decoder_.Step(ids, cache);  // [nb,1,vocab]
+    // Log-softmax of each beam's new position; expand.
     std::vector<Beam> expanded;
     for (int64_t i = 0; i < nb; ++i) {
       if (beams[i].finished) {
         expanded.push_back(beams[i]);
+        expanded.back().row = i;
         continue;
       }
       // Stable log-softmax over the vocabulary.
-      const float* row =
-          logits.value().data() + (i * cur_len + cur_len - 1) * vocab_size;
+      const float* row = logits.value().data() + i * vocab_size;
       const double lse = kernels::RowLogSumExp(row, vocab_size);
       std::vector<std::pair<double, int64_t>> scored;
       scored.reserve(vocab_size);
@@ -272,6 +258,7 @@ std::string Seq2SeqModel::GenerateBeam(const std::string& source,
                           k < static_cast<int64_t>(scored.size());
            ++k) {
         Beam next = beams[i];
+        next.row = i;
         next.log_prob += scored[k].first;
         if (scored[k].second == text::SpecialTokens::kEos) {
           next.finished = true;

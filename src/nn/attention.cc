@@ -36,32 +36,41 @@ Variable MultiHeadAttention::Forward(const Variable& query_in,
                                      const Variable& kv_in,
                                      const Tensor& key_bias, bool causal,
                                      Rng& rng) const {
+  return Attend(query_in, ProjectKeyValues(kv_in), key_bias, causal, rng);
+}
+
+Variable MultiHeadAttention::SplitHeads(const Variable& x) const {
+  const int64_t b = x.value().size(0);
+  const int64_t t = x.value().size(1);
+  return ops::Transpose(ops::Reshape(x, {b, t, num_heads_, head_dim_}), 1, 2);
+}
+
+MultiHeadAttention::KeyValues MultiHeadAttention::ProjectKeyValues(
+    const Variable& kv_in) const {
+  ROTOM_CHECK_EQ(kv_in.value().size(2), dim_);
+  return {SplitHeads(k_proj_.Forward(kv_in)),
+          SplitHeads(v_proj_.Forward(kv_in))};
+}
+
+Variable MultiHeadAttention::Attend(const Variable& query_in,
+                                    const KeyValues& kv,
+                                    const Tensor& key_bias, bool causal,
+                                    Rng& rng) const {
   const int64_t b = query_in.value().size(0);
   const int64_t tq = query_in.value().size(1);
-  const int64_t ts = kv_in.value().size(1);
   ROTOM_CHECK_EQ(query_in.value().size(2), dim_);
-  ROTOM_CHECK_EQ(kv_in.value().size(2), dim_);
-
-  auto split_heads = [&](const Variable& x, int64_t t) {
-    // [B,T,d] -> [B,H,T,dh]
-    return ops::Transpose(ops::Reshape(x, {b, t, num_heads_, head_dim_}), 1,
-                          2);
-  };
-
-  Variable q = split_heads(q_proj_.Forward(query_in), tq);
-  Variable k = split_heads(k_proj_.Forward(kv_in), ts);
-  Variable v = split_heads(v_proj_.Forward(kv_in), ts);
+  Variable q = SplitHeads(q_proj_.Forward(query_in));
 
   // scores [B,H,Tq,Ts]: Q . K^T via the transposed-RHS kernel, which reads K
   // in its natural layout instead of materializing a transposed copy.
-  Variable scores = ops::Scale(ops::MatMulBT(q, k),
+  Variable scores = ops::Scale(ops::MatMulBT(q, kv.k),
                                1.0f / std::sqrt(static_cast<float>(head_dim_)));
   scores = ops::AddSequenceMask(scores, key_bias);
   if (causal) scores = ops::AddCausalMask(scores);
   Variable attn = ops::Softmax(scores);
   attn = ops::Dropout(attn, dropout_, rng, training());
 
-  Variable ctx = ops::MatMul(attn, v);                      // [B,H,Tq,dh]
+  Variable ctx = ops::MatMul(attn, kv.v);                   // [B,H,Tq,dh]
   ctx = ops::Reshape(ops::Transpose(ctx, 1, 2), {b, tq, dim_});
   return out_proj_.Forward(ctx);
 }

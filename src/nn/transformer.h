@@ -78,11 +78,30 @@ class TransformerDecoderLayer : public Module {
  public:
   TransformerDecoderLayer(const TransformerConfig& config, Rng& rng);
 
+  /// The block over a whole target sequence x [B,T,d] (teacher forcing).
   Variable Forward(const Variable& x, const Tensor& self_key_bias,
                    const Variable& memory, const Tensor& memory_key_bias,
                    Rng& rng) const;
 
+  /// The cross-attention keys and values of encoder memory [B,Ts,d], which
+  /// every Step of one decode reuses.
+  MultiHeadAttention::KeyValues ProjectMemory(const Variable& memory) const;
+
+  /// The block for one new position x [B,1,d]: appends x's self-attention
+  /// keys and values to `self_cache` (the earlier positions'; undefined
+  /// before the first step), then attends over all of them. Eval mode.
+  Variable Step(const Variable& x, MultiHeadAttention::KeyValues& self_cache,
+                const MultiHeadAttention::KeyValues& memory_kv,
+                const Tensor& memory_key_bias, Rng& rng) const;
+
  private:
+  // The block given the keys and values both attentions read.
+  Variable Block(const Variable& x,
+                 const MultiHeadAttention::KeyValues& self_kv,
+                 const Tensor& self_key_bias, bool causal,
+                 const MultiHeadAttention::KeyValues& memory_kv,
+                 const Tensor& memory_key_bias, Rng& rng) const;
+
   float dropout_;
   MultiHeadAttention self_attn_;
   MultiHeadAttention cross_attn_;
@@ -90,6 +109,34 @@ class TransformerDecoderLayer : public Module {
   LayerNormLayer norm1_;
   LayerNormLayer norm2_;
   LayerNormLayer norm3_;
+};
+
+/// The state of one incremental decode (TransformerDecoder::StartDecode,
+/// Step): per layer, the self-attention keys and values of the positions
+/// decoded so far and the cross-attention keys and values of the encoder
+/// memory, projected once. Inference only: it holds no gradient graph.
+class DecoderCache {
+ public:
+  int64_t batch() const { return memory_bias_.size(0); }
+  /// Positions decoded so far; the next Step decodes position length().
+  int64_t length() const { return length_; }
+  /// The most positions the cache can hold (the decoder's max_seq_len).
+  int64_t capacity() const { return capacity_; }
+
+  /// Keeps rows `rows` of every cached tensor, in that order; rows may
+  /// repeat. Beam search continues each new beam from its parent's row.
+  void SelectRows(const std::vector<int64_t>& rows);
+
+ private:
+  friend class TransformerDecoder;
+  struct Layer {
+    MultiHeadAttention::KeyValues self;    // [B,H,length,dh]
+    MultiHeadAttention::KeyValues memory;  // [B,H,Ts,dh]
+  };
+  std::vector<Layer> layers_;
+  Tensor memory_bias_;  // [B,Ts]
+  int64_t length_ = 0;
+  int64_t capacity_ = 0;
 };
 
 /// Decoder stack with an output projection to vocabulary logits.
@@ -104,9 +151,27 @@ class TransformerDecoder : public Module {
                    const Variable& memory, const Tensor& memory_mask,
                    Rng& rng) const;
 
+  /// Starts an incremental decode over encoder memory [B,Ts,d] with its
+  /// validity mask [B,Ts]: projects each layer's cross-attention keys and
+  /// values once.
+  DecoderCache StartDecode(const Variable& memory,
+                           const Tensor& memory_mask) const;
+
+  /// Decodes position p = cache.length() of every row: ids [B] are the
+  /// tokens at p. Returns the logits [B,1,vocab] at p, the last row of
+  /// Forward over positions [0, p] (DESIGN.md §6 states where the two can
+  /// differ in the last bits), and appends p's keys and values to the
+  /// cache. Eval mode; aborts once the cache is full.
+  Variable Step(const std::vector<int64_t>& ids, DecoderCache& cache) const;
+
   const TransformerConfig& config() const { return config_; }
 
  private:
+  // Token + position embeddings of positions [first, first + seq_len) of
+  // ids [batch * seq_len], normalized: [batch, seq_len, dim].
+  Variable Embed(const std::vector<int64_t>& ids, int64_t batch,
+                 int64_t first, int64_t seq_len, Rng& rng) const;
+
   TransformerConfig config_;
   EmbeddingLayer token_emb_;
   EmbeddingLayer pos_emb_;

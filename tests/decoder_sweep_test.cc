@@ -1,27 +1,31 @@
-// Seeded mutation sweep over the binary decoders: RSNAP v1 and v2 snapshots
-// (serve::Snapshot::Load) and RTCK1 checkpoints (core::TrainCheckpoint::
-// Load). Each base file is mutated by truncation at every length, seeded
-// byte flips, and u64 inflation of every 8-byte window — which covers every
+// Seeded mutation sweep over the decoders: RSNAP v1 and v2 snapshots
+// (serve::Snapshot::Load), RTCK1 checkpoints (core::TrainCheckpoint::Load)
+// and the CSV readers (ReadCsvFile, CsvRowReader, stream::CsvFileSource).
+// Each base file is mutated by truncation at every length, seeded byte
+// flips, and u64 inflation of every 8-byte window — which covers every
 // length, count and dim field without the sweep knowing where they sit.
 // Mutated RSNAP payloads get their payload size and checksum recomputed, so
 // the payload parser is reached instead of the checksum rejecting them.
 //
 // The contract: every Load returns an error Status or an object — no abort,
-// no uncaught exception, and under scripts/check.sh address no ASan/UBSan
-// report. Every snapshot that loads also builds an f32 and an int8 session
-// (or gets a Status from Create) and serves one request with each. The
-// budget is fixed (tiny files, a fixed flip count) so the sweep stays in
-// tier-1.
+// no hang, no uncaught exception, and under scripts/check.sh address no
+// ASan/UBSan report. Every snapshot that loads also builds an f32 and an
+// int8 session (or gets a Status from Create) and serves one request with
+// each; every CSV mutant reads the same rows (or fails) through all three
+// readers. The budget is fixed (tiny files, fixed flip counts) so the sweep
+// stays in tier-1.
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -30,6 +34,8 @@
 
 #include "core/train_checkpoint.h"
 #include "rotom/api.h"
+#include "stream/csv_source.h"
+#include "util/csv.h"
 #include "util/rng.h"
 
 namespace rotom {
@@ -41,6 +47,7 @@ constexpr size_t kChecksumOffset = 20;
 constexpr size_t kHeaderSize = 28;
 
 constexpr int kFlipsPerFile = 1500;
+constexpr int kCsvFlips = 1000;
 
 std::string TempPath(const std::string& name) {
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
@@ -111,7 +118,7 @@ struct SweepResult {
 // header checks see them too.
 SweepResult Sweep(const std::string& base, const std::string& path,
                   const std::function<Status(const std::string&)>& load,
-                  bool reseal, uint64_t seed) {
+                  bool reseal, uint64_t seed, int flips = kFlipsPerFile) {
   SweepResult result;
   // One descriptor rewritten in place for every mutant: reopening with
   // O_TRUNC per mutant costs far more than the loads themselves.
@@ -137,7 +144,7 @@ SweepResult Sweep(const std::string& base, const std::string& path,
   for (size_t cut = 0; cut < base.size(); ++cut) run(base.substr(0, cut), cut);
 
   Rng rng(seed);
-  for (int i = 0; i < kFlipsPerFile; ++i) {
+  for (int i = 0; i < flips; ++i) {
     std::string bytes = base;
     const size_t at = static_cast<size_t>(rng.UniformInt(
         static_cast<int64_t>(bytes.size())));
@@ -231,6 +238,69 @@ TEST(DecoderSweepTest, Checkpoint) {
   // Flips inside tensor data still load; flips in the structure must not.
   EXPECT_GT(result.accepted, 0);
   EXPECT_GE(result.errors.size(), 4u);
+}
+
+// A labelled CSV with every quoting feature the record reader handles:
+// quoted commas, "" escapes, an embedded newline, and \r\n line ends.
+constexpr char kCsvBase[] =
+    "text,label\r\n"
+    "\"red, green \"\"apple\"\"\",pos\r\n"
+    "\"two\nlines\",neg\n"
+    "plain words,pos\r\n"
+    "\"say \"\"hi\"\", then go\",neg\n";
+
+// Reads a CSV mutant through ReadCsvFile, CsvRowReader and CsvFileSource.
+// All three use one record reader, so they must agree: the same header and
+// rows, or an error from both table readers; a source over a table with
+// rows and both columns draws every row of a pass and wraps around.
+Status ReadCsvEveryWay(const std::string& path) {
+  const auto table = ReadCsvFile(path);
+
+  CsvRowReader reader;
+  Status rows_status = reader.Open(path);
+  std::vector<std::vector<std::string>> rows;
+  for (std::vector<std::string> row; rows_status.ok();) {
+    const auto got = reader.NextRow(&row);
+    if (!got.ok()) rows_status = got.status();
+    if (!got.ok() || !got.value()) break;
+    rows.push_back(row);
+  }
+  EXPECT_EQ(table.ok(), rows_status.ok());
+  if (table.ok() && rows_status.ok()) {
+    EXPECT_EQ(table.value().header, reader.header());
+    EXPECT_EQ(table.value().rows, rows);
+  }
+
+  auto source = stream::CsvFileSource::Open(
+      path, {}, std::make_shared<stream::LabelTable>());
+  if (!source.ok()) return table.status();
+  const auto& header = table.ok() ? table.value().header : reader.header();
+  const size_t text_col = static_cast<size_t>(
+      std::find(header.begin(), header.end(), "text") - header.begin());
+  const size_t pass = table.ok() ? table.value().rows.size() : rows.size();
+  for (size_t draw = 0; draw <= pass; ++draw) {
+    const auto example = source.value()->Next();
+    if (!example.ok()) {
+      EXPECT_FALSE(table.ok() && pass > 0) << example.status().message();
+      break;
+    }
+    if (table.ok()) {
+      EXPECT_EQ(example.value().text,
+                table.value().rows[draw % pass][text_col]);
+    }
+  }
+  return table.status();
+}
+
+TEST(DecoderSweepTest, CsvReaders) {
+  const std::string path = TempPath("labelled.csv");
+  const std::string base = kCsvBase;
+  const SweepResult result =
+      Sweep(base, path, ReadCsvEveryWay, false, 14, kCsvFlips);
+  EXPECT_GT(result.loads, 1000);
+  // Truncations inside a row still parse; broken quotes and widths do not.
+  EXPECT_GT(result.accepted, 0);
+  EXPECT_GE(result.errors.size(), 3u);
 }
 
 }  // namespace

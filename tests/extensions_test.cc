@@ -2,9 +2,11 @@
 // CSV dataset loaders, beam-search decoding, the Section 8 noisy-label
 // training direction, and context-dependent EDT serialization.
 
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +175,63 @@ TEST(BeamSearchTest, TrainedCopyModelReconstructsInput) {
   }
   model.SetTraining(false);
   EXPECT_EQ(model.GenerateBeam("green dog", 3, 6), "green dog");
+}
+
+// Beam search continues each beam from its parent's cached prefix: after
+// DecoderCache::SelectRows, a step equals the full forward over the
+// selected rows' prefixes (one layer: bit for bit in every flavor).
+TEST(BeamSearchTest, CacheRowSelectionContinuesParentPrefixes) {
+  Rng rng(3);
+  nn::TransformerConfig config;
+  config.vocab_size = 11;
+  config.dim = 16;
+  config.num_heads = 2;
+  config.num_layers = 1;
+  config.ffn_dim = 32;
+  config.max_seq_len = 6;
+  nn::TransformerDecoder decoder(config, rng);
+  decoder.SetTraining(false);
+  const Variable memory(Tensor::Randn({2, 4, config.dim}, rng), false);
+  Tensor memory_mask = Tensor::Ones({2, 4});
+  memory_mask.at({0, 3}) = 0.0f;
+  NoGradGuard no_grad;
+  nn::DecoderCache cache = decoder.StartDecode(memory, memory_mask);
+  const std::vector<std::vector<int64_t>> prefixes = {{2, 5, 7}, {2, 9, 4}};
+  for (int64_t t = 0; t < 3; ++t)
+    decoder.Step({prefixes[0][t], prefixes[1][t]}, cache);
+  const std::vector<int64_t> parents = {1, 0, 1};
+  cache.SelectRows(parents);
+  ASSERT_EQ(cache.batch(), 3);
+  const std::vector<int64_t> next = {6, 8, 10};
+  const Tensor step = decoder.Step(next, cache).value();
+
+  std::vector<int64_t> ids;
+  Tensor memory_rows({3, 4, config.dim});
+  Tensor mask_rows({3, 4});
+  const int64_t mem_row = 4 * config.dim;
+  for (int64_t i = 0; i < 3; ++i) {
+    const auto& prefix = prefixes[parents[i]];
+    ids.insert(ids.end(), prefix.begin(), prefix.end());
+    ids.push_back(next[i]);
+    std::memcpy(memory_rows.data() + i * mem_row,
+                memory.value().data() + parents[i] * mem_row,
+                sizeof(float) * mem_row);
+    std::memcpy(mask_rows.data() + i * 4, memory_mask.data() + parents[i] * 4,
+                sizeof(float) * 4);
+  }
+  Rng unused(0);
+  const Tensor full =
+      decoder
+          .Forward(ids, 3, 4, Tensor::Ones({3, 4}),
+                   Variable(memory_rows, false), mask_rows, unused)
+          .value();
+  for (int64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(std::memcmp(step.data() + i * config.vocab_size,
+                          full.data() + (i * 4 + 3) * config.vocab_size,
+                          sizeof(float) * config.vocab_size),
+              0)
+        << "row " << i;
+  }
 }
 
 TEST(LabelCleaningTest, RunsAndFitsCleanValidation) {
